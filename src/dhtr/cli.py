@@ -41,7 +41,7 @@ def _parse_mu(text: str) -> tuple[int, ...]:
     try:
         mu = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SystemExit(2)
+        mu = ()
     if not mu or any(p < 1 for p in mu):
         print("error: mu must be a comma-separated list of positive integers",
               file=sys.stderr)

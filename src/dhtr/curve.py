@@ -3,8 +3,10 @@
 Branch points are the zeros of s z P'(z) - 1; each is assumed simple and
 carries a local frame: the expansion of x at the point, the local involution
 sigma exchanging the two sheets of x, and derived data consumed by the
-residue recursion.  The module also hosts the x-inversion at the origin
-(numeric and exact), the partition-sum coefficients of z^i = sum A_mu^i x^mu,
+residue recursion.  A curve builds its frames once, at the largest order
+requested so far; smaller orders get truncated views of that build, which
+equal a fresh build bit for bit.  The module also hosts the x-inversion at
+the origin (numeric and exact), the partition-sum coefficients of z^i = sum A_mu^i x^mu,
 the phi basis spanning the space of loop-equation solutions, and exact
 series checks of the closed forms for the (0,1) and (0,2) generating
 functions.
@@ -68,13 +70,10 @@ class CurveSpec:
 class BranchPointData:
     index: int
     a: object
-    x_at: object                # x(a)
     x_series: Series            # x(a+u) as a series in u
     sigma: Series               # sigma(a+u) - a, linear coefficient -1
     sigma_prime: Series
     y_series: Series            # P(a+u)
-    y_sigma: Series             # P(sigma(a+u))
-    w_series: Series            # 1 - s z P'(z) at z = a+u (simple zero)
 
 
 class SpectralCurve:
@@ -92,7 +91,8 @@ class SpectralCurve:
             ]
             self.W = Poly(self.ring, w_coeffs)
         self._roots = None
-        self._frames: dict[int, list[BranchPointData]] = {}
+        self._frames: list[BranchPointData] = []
+        self._frames_order = 0
         self._zx_cache: dict[int, Series] = {}
 
     # ------------------------------------------------------------------
@@ -137,22 +137,23 @@ class SpectralCurve:
     # ------------------------------------------------------------------
     # local frames
 
-    def x_value(self, z):
-        return z * mpmath.exp(-self.s * self.P(z))
-
     def negligible(self, scale=1):
         tol = mpmath.mpf(2) ** (-self.prec // 2) * scale
         return lambda c: abs(c) <= tol
 
     def frames(self, order: int) -> list[BranchPointData]:
         """Local data at every branch point; series windows cover exponents
-        below `order`."""
-        if order in self._frames:
-            return self._frames[order]
-        with mpmath.workprec(self.prec):
-            frames = [self._frame(i, a, order) for i, a in enumerate(self.branch_points())]
-        self._frames[order] = frames
-        return frames
+        below `order`.  Built and self-checked only for an order above all
+        earlier ones, which replaces the stored build; else truncated views."""
+        if order < 1:
+            raise ValueError(f"frame order must be at least 1, got {order}")
+        if order > self._frames_order:
+            with mpmath.workprec(self.prec):
+                self._frames = [self._frame(i, a, order) for i, a in enumerate(self.branch_points())]
+            self._frames_order = order
+        cut = self._frames_order - order
+        return [BranchPointData(bp.index, bp.a, *(s.truncate(s.order - cut) for s in (
+            bp.x_series, bp.sigma, bp.sigma_prime, bp.y_series))) for bp in self._frames]
 
     def _frame(self, index: int, a, order: int) -> BranchPointData:
         ring = self.ring
@@ -161,7 +162,6 @@ class SpectralCurve:
         p_local = self.P.shifted_series(a, "u", n)
         p_at = p_local.coefficient(0)
         p_tail = p_local - Series.constant(ring, "u", p_at, n)
-        x_at = a * mpmath.exp(-self.s * p_at)
         a_plus_u = Series.from_coeffs(ring, "u", [a, ring.one], n)
         x_series = (a_plus_u * p_tail.scale(-self.s).exp()).scale(
             mpmath.exp(-self.s * p_at))
@@ -189,10 +189,8 @@ class SpectralCurve:
         sigma = t.reversion().compose(-t)
 
         frame = BranchPointData(
-            index=index, a=a, x_at=x_at, x_series=x_series,
-            sigma=sigma, sigma_prime=sigma.derivative(),
-            y_series=p_local, y_sigma=p_local.compose(sigma),
-            w_series=self.W.shifted_series(a, "u", n),
+            index=index, a=a, x_series=x_series,
+            sigma=sigma, sigma_prime=sigma.derivative(), y_series=p_local,
         )
         self._validate_frame(frame, scale)
         return frame

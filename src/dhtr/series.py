@@ -79,10 +79,10 @@ class ComplexRing:
         return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
 
     def is_zero(self, x) -> bool:
-        return x == 0
+        return not x
 
     def invert(self, x):
-        if x == 0:
+        if not x:
             raise ZeroDivisionError("division by zero")
         return 1 / x
 
@@ -402,25 +402,38 @@ class Series:
     # composition and reversion
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute `inner` (valuation >= 1) for this series' variable."""
+        """Substitute `inner` (valuation >= 1) for this series' variable.
+
+        Horner from the top index down.  The window ends where the outer's
+        unknown tail enters, at inner.valuation() * self.order.  For lo >= 0
+        the accumulator after index k still meets k factors of valuation
+        >= 1, so it is cut k orders short of that end; inner's stored zero
+        head is stripped so that each product gains the order, and the
+        window stays at inner.order, as the unstripped product gives.  Kept
+        coefficients see the same products in the same order as at full
+        width.  A Laurent outer (lo < 0) keeps the full width."""
         if inner.lo < 1 and any(not inner.ring.is_zero(c) for c in inner.coeffs[: 1 - inner.lo]):
             raise AlgebraError("composition requires inner valuation >= 1")
         if self.ring != inner.ring:
             raise RingMismatchError("coefficient ring mismatch in composition")
         self = self.strip_leading(self.ring.is_zero)
-        # Horner over the stored window, from the top exponent down.
+        top = self.order * max(inner.valuation(), 1)
+        truncating = self.lo >= 0
+        step = inner
+        if truncating and inner.lo < 1:
+            step = inner.strip_leading(inner.ring.is_zero)
+            top = min(top, inner.order)
         result = Series.zero(inner.ring, inner.var, inner.order)
         for k in range(len(self.coeffs) - 1, -1, -1):
-            result = result * inner
+            result = result * step
             c = self.coeffs[k]
             if not self.ring.is_zero(c):
                 result = result + Series.constant(inner.ring, inner.var, c, result.order)
+            if truncating and result.order > top - k:
+                result = result.truncate(top - k)
         if self.lo:
             result = result * inner.pow_int(self.lo)
-        # The unknown tail of the outer series enters at inner.valuation() *
-        # self.order, which bounds the trusted window from above.
-        val = max(inner.valuation(), 1)
-        return result.truncate(min(result.order, self.order * val))
+        return result.truncate(min(result.order, top))
 
     def reversion(self) -> "Series":
         """Compositional inverse of c1*var + O(var^2), via Newton iteration."""

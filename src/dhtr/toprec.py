@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import mpmath
 
-from .curve import PhiBasis, SpectralCurve
+from .curve import PhiBasis, SpectralCurve, _lift_to_outer, _outer_constant
 from .cutjoin import DHTable
 from .series import Series, SeriesRing, TruncationError
 
@@ -237,6 +237,8 @@ class _Frame:
 class RecursionEngine:
     def __init__(self, curve: SpectralCurve, table: DHTable | None = None,
                  extra_order: int = 0):
+        if extra_order < 0:
+            raise ValueError(f"extra truncation order must be >= 0, got {extra_order}")
         self.curve = curve
         self.ring = curve.ring
         self.prec = curve.prec
@@ -276,6 +278,7 @@ class RecursionEngine:
 
     def _tr_step(self, g: int, n: int) -> CorrelationForm:
         window = self.window_for(g, n)
+        # before recursing: a top-level form builds the frames once
         frames = [
             _Frame(self, bp, window) for bp in self.curve.frames(window)
         ]
@@ -509,7 +512,7 @@ class RecursionEngine:
             pows1 = [Series.constant(ring, "x1", ring.one, n)]
             for _ in range(n):
                 pows1.append((pows1[-1] * zx1).truncate(n))
-            pows2 = [_lift(inner, p, n) for p in pows1]
+            pows2 = [_lift_to_outer(inner, p, n) for p in pows1]
 
             p = self.curve.P.to_series("x", 2 * n).rename("z")
             z = Series.identity(ring, "z", 2 * n)
@@ -529,7 +532,7 @@ class RecursionEngine:
             # outer constant is exactly 1 mathematically; clamp the ulp
             normalized = Series(inner, "x2", 0, [inner.one] + normalized.coeffs[1:],
                                 normalized.order)
-            neg_log = -(normalized.log() + _outer_const(inner, log_c0, n))
+            neg_log = -(normalized.log() + _outer_constant(inner, log_c0, n))
 
             rows = []
             for mu2 in range(1, mu_max + 1):
@@ -588,11 +591,6 @@ class RecursionEngine:
                     worst = max(worst, rel)
                     details.append((spect, bp.index, rel))
             return LoopCheckReport(g, n, worst, tolerance, details)
-
-    def _phi_values(self, basis: PhiBasis, i: int, m: int, points):
-        phi = basis.phi(i, m)
-        at_inf = phi.value_at_infinity()
-        return [phi(z) - at_inf for z in points]
 
     def phi_decompose(self, g: int, n: int, m_cap: int = 6,
                       tolerance=None) -> PhiFitReport:
@@ -725,14 +723,3 @@ def _sample_tuples(count: int, n: int, rmin, prec: int):
             pt.append(radius * mpmath.exp(1j * angle))
         out.append(tuple(pt))
     return out
-
-
-def _lift(inner: SeriesRing, series: Series, order: int) -> Series:
-    ring = series.ring
-    coeffs = [Series.constant(ring, "x1", series.coefficient(k), inner.order)
-              for k in range(order)]
-    return Series(inner, "x2", 0, coeffs, order)
-
-
-def _outer_const(inner: SeriesRing, value: Series, order: int) -> Series:
-    return Series(inner, "x2", 0, [value] + [inner.zero] * (order - 1), order)

@@ -29,8 +29,10 @@ def parse_rational(text: str) -> Fraction:
     if "." in text or "e" in text.lower():
         raise ValueError(f"expected exact rational 'p/q', got {text!r}")
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

@@ -105,3 +105,31 @@ def test_tr_verify_json_schema(capsys):
     for row in payload["rows"]:
         assert {"mu", "predicted", "expected", "rel_residual",
                 "verdict"} == set(row)
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "tr-verify", "--g", "0", "--n", "3", "--s", "1/0")
+    assert code == 2
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_non_integer_mu_prints_error(capsys):
+    code, _, err = run(capsys, "dh", "--g", "0", "--mu", "a")
+    assert code == 2
+    assert err.strip() == ("error: mu must be a comma-separated list of "
+                           "positive integers")
+
+
+def test_negative_extra_order_rejected(capsys):
+    code, _, err = run(capsys, "tr-verify", "--g", "0", "--n", "3",
+                       "--order", "-30")
+    assert code == 2
+    assert err.startswith("error: extra truncation order must be >= 0")
+
+
+def test_window_below_one_rejected(capsys):
+    # 2(6g+2n-4)+8 = 0 at (g, n) = (-3, 9): the frame order check, not a
+    # truncation error at a negative order
+    code, _, err = run(capsys, "loop-check", "--g", "-3", "--n", "9")
+    assert code == 2
+    assert err.startswith("error: frame order must be at least 1")

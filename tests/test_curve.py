@@ -79,6 +79,39 @@ def test_involution_defining_properties():
         assert frame.sigma.order >= 10
 
 
+def _bits(series):
+    return series.lo, series.order, [c._mpc_ for c in series.coeffs]
+
+
+def test_frames_views_match_fresh_build():
+    wide = curve(2, [1, 1], Fraction(1, 10), prec=256)
+    wide.frames(28)
+    fresh = curve(2, [1, 1], Fraction(1, 10), prec=256).frames(12)
+    for view, ref in zip(wide.frames(12), fresh, strict=True):
+        assert view.a._mpc_ == ref.a._mpc_
+        for name in ("x_series", "sigma", "sigma_prime", "y_series"):
+            assert _bits(getattr(view, name)) == _bits(getattr(ref, name)), name
+
+
+def test_frames_built_once_per_largest_order(monkeypatch):
+    c = curve(2, [1, 1], Fraction(1, 10))
+    built = []
+    frame = c._frame
+
+    def counted(index, a, order):
+        built.append(order)
+        return frame(index, a, order)
+
+    monkeypatch.setattr(c, "_frame", counted)
+    for order in (10, 6, 8, 10):
+        c.frames(order)
+    assert built == [10, 10]           # one build, one frame per branch point
+    c.frames(12)
+    assert built == [10, 10, 12, 12]   # a larger order replaces the build
+    with pytest.raises(ValueError, match="at least 1"):
+        c.frames(0)
+
+
 def test_x_inversion_numeric_tree_function():
     # d=1, q=1: [x^mu] z(x) = mu^{mu-1} s^{mu-1} / mu!
     c = curve(1, [1], Fraction(1, 3))

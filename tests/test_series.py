@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dhtr.series import (
     AlgebraError,
@@ -247,6 +247,52 @@ def test_compose_laurent_outer():
     h = f.compose(g)
     assert h.coefficient(-2) == 1
     assert h.coefficient(-1) == -2
+
+
+def naive_compose(f_coeffs, f_lo, g_coeffs):
+    """sum_k f_k g^k over dense exact polynomials (g from exponent 0), for
+    tests only."""
+    out = {}
+    power = [Fraction(1)]
+    for e in range(f_lo + len(f_coeffs)):
+        if e >= f_lo:
+            for i, c in enumerate(power):
+                out[i] = out.get(i, 0) + f_coeffs[e - f_lo] * c
+        nxt = [Fraction(0)] * (len(power) + len(g_coeffs) - 1)
+        for i, a in enumerate(power):
+            for j, b in enumerate(g_coeffs):
+                nxt[i + j] += a * b
+        power = nxt
+    return out
+
+
+fractions_ = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fractions_, min_size=1, max_size=7), st.integers(0, 2),
+       st.sampled_from([1, 2]), st.booleans(),
+       st.lists(fractions_, min_size=1, max_size=6),
+       st.lists(fractions_, min_size=1, max_size=3),
+       st.lists(fractions_, min_size=1, max_size=3))
+# outer with a zero u^1 coefficient, as x(a+u) has at a branch point
+@example([1, 0, 1, 1, 1], 0, 1, True, [1, 2, 3], [1], [1])
+def test_compose_matches_power_sum(f_coeffs, f_lo, val, zero_head, g_tail,
+                                   f_extra, g_extra):
+    # inner of valuation `val`, stored with or without its zero head; the
+    # trusted window must not depend on the unknown tails of either series
+    g_tail = [Fraction(1) + abs(g_tail[0])] + g_tail[1:]
+    g_lo = 0 if zero_head else val
+    g = Series(QQ, "z", g_lo, [Fraction(0)] * (val - g_lo) + g_tail, val + len(g_tail))
+    f = qseries(f_coeffs, lo=f_lo)
+    h = f.compose(g)
+    window = min(g.order, f.order * val)
+    # a stored zero head keeps the window the full-width product gives
+    assert h.order == window if zero_head else h.order >= window
+    ref = naive_compose(f_coeffs + f_extra, f_lo,
+                        [Fraction(0)] * val + g_tail + g_extra)
+    for e in range(h.order):
+        assert h.coefficient(e) == ref.get(e, 0), e
 
 
 def test_numeric_ring_against_exact():

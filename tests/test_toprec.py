@@ -213,6 +213,21 @@ def test_no_simple_poles(engine):
         assert all(k >= 1 for idx in form.coeffs for (_, k) in idx), (g, n)
 
 
+def test_form_bits_independent_of_request_order():
+    # form(2, 1) first builds the frames once at window 28 and serves the
+    # lower forms truncated views; the upward order builds at each window
+    spec = CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256)
+    top_first = RecursionEngine(SpectralCurve(spec))
+    top_first.form(2, 1)
+    upward = RecursionEngine(SpectralCurve(spec))
+    for g, n in [(0, 3), (1, 1), (1, 2), (2, 1)]:
+        upward.form(g, n)
+    for g, n in [(0, 3), (1, 1), (1, 2), (2, 1)]:
+        a, b = top_first.form(g, n).coeffs, upward.form(g, n).coeffs
+        assert a.keys() == b.keys(), (g, n)
+        assert all(a[idx]._mpc_ == b[idx]._mpc_ for idx in a), (g, n)
+
+
 def test_omega01_local_linear_curve():
     # d=1, q=1, s=1: omega_{0,1} = z (1/z - 1) dz = (1 - z) dz, so at the
     # branch point a = 1 the local series is (1 - a) - u = -u
