@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -160,7 +159,7 @@ def cmd_table(args) -> int:
 def cmd_oracle(args) -> int:
     mu = _parse_mu(args.mu)
     d = args.d or sum(mu)
-    oracle = FactorizationOracle(d, degree_cap=args.cap)
+    oracle = FactorizationOracle(d)
     report = oracle.compare(args.g, mu, DHTable(d))
     counts = [{"lambda": list(lam), "m": m, "count": count}
               for (lam, m), count in sorted(report.counts.items())]
@@ -290,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Double Hurwitz numbers, pruning, and topological "
                     "recursion checks on x = z exp(-s P(z))",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("DHTR_THREADS", "1")),
-                        help="worker threads (accepted for compatibility; "
-                             "the engines are sequential and output is "
-                             "identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dh", help="one double Hurwitz polynomial")
@@ -324,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--d", type=int, default=0)
-    p.add_argument("--cap", type=int, default=6, help="degree cap")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_oracle)
 

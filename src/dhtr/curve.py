@@ -394,22 +394,9 @@ def f02_check(d_max: int, order: int) -> CheckReport:
 
     zx = x_of_z_series(d_max, n + 1).reversion().truncate(n)
     zx1 = Series(ring, "x1", 0, [zx.coefficient(k) for k in range(n)], n)
-    zx1_pows = _powers(zx1, n)
-    zx2_pows = [_lift_to_outer(inner, p, n) for p in zx1_pows]
-
-    # (x1 - x2)/(z1 - z2) = sum_k c_k sum_{a+b=k-1} z1^a z2^b at z_i = z(x_i);
-    # z(x)^a = O(x^a), so k must run to 2*order + 1 to fill the window, and
-    # exponents a, b >= n contribute nothing inside it
-    xz = x_of_z_series(d_max, 2 * n)
-    quot = Series.zero(inner, "x2", n)
-    for k in range(1, xz.order):
-        ck = xz.coefficient(k)
-        if ck.is_zero():
-            continue
-        for b in range(min(k, n)):
-            a = k - 1 - b
-            if a < n:
-                quot = quot + zx2_pows[b].scale(zx1_pows[a].scale(ck))
+    # z(x)^a = O(x^a), so k in x = sum_k c_k z^k must run to 2*order + 1 to
+    # fill the window
+    quot = _difference_quotient(inner, x_of_z_series(d_max, 2 * n), zx1, n)
 
     # log(quot): factor out the x2-constant term (a unit inner series)
     c0 = quot.coefficient(0)
@@ -441,6 +428,27 @@ def _powers(series: Series, order: int) -> list[Series]:
     for _ in range(order):
         out.append((out[-1] * series).truncate(order))
     return out
+
+
+def _difference_quotient(inner: SeriesRing, xz: Series, zx1: Series,
+                         n: int) -> Series:
+    """(x1 - x2)/(z1 - z2) = sum_k c_k sum_{a+b=k-1} z1^a z2^b for
+    x = sum_k c_k z^k, at z_i = z(x_i) with zx1 = z(x1): a series in x2 over
+    `inner`.  z(x)^a = O(x^a), so exponents a, b >= n contribute nothing
+    inside the window n."""
+    ring = xz.ring
+    pows1 = _powers(zx1, n)
+    pows2 = [_lift_to_outer(inner, p, n) for p in pows1]
+    quot = Series.zero(inner, "x2", n)
+    for k in range(1, xz.order):
+        ck = xz.coefficient(k)
+        if ring.is_zero(ck):
+            continue
+        for b in range(min(k, n)):
+            a = k - 1 - b
+            if a < n:
+                quot = quot + pows2[b].scale(pows1[a].scale(ck))
+    return quot
 
 
 def _outer_constant(inner: SeriesRing, value: Series, order: int) -> Series:

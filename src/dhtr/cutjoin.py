@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from .series import Series, SeriesRing
 from .weightpoly import WeightPolynomial, WeightPolyRing
@@ -161,23 +162,14 @@ class DHTable:
 
         These are the coefficients of F_{g,n} = sum DH(mu) prod x_i^{mu_i}.
         """
-        out: dict[tuple[int, ...], WeightPolynomial] = {}
-
-        def fill(prefix: tuple[int, ...]):
-            if len(prefix) == n:
-                out[prefix] = self.dh(g, prefix)
-                return
-            for m in range(1, order + 1):
-                fill(prefix + (m,))
-
-        fill(())
-        return out
+        return {mu: self.dh(g, mu)
+                for mu in product(range(1, order + 1), repeat=n)}
 
     def omega_coefficients(self, g: int, n: int, order: int) -> dict[tuple[int, ...], WeightPolynomial]:
         """Coefficients of the multidifferential d_1..d_n F_{g,n}: the
         value attached to prod x_i^{mu_i - 1} dx_i is DH(mu) * prod mu_i."""
         return {
-            mu: value.scale(Fraction(_prod(mu)))
+            mu: value.scale(Fraction(prod(mu)))
             for mu, value in self.free_energy_coefficients(g, n, order).items()
         }
 
@@ -202,15 +194,3 @@ class DHTable:
         # prefix indices run x_n, x_{n-1}, ..., x_1 from outside in; DH is
         # symmetric so the slot order is immaterial.
         return build(n, ())
-
-    def table_rows(self):
-        """Sorted snapshot of everything computed so far."""
-        with self._lock:
-            return sorted(self._memo.items())
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out

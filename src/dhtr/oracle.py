@@ -15,24 +15,36 @@ weighted cover counts (orbit-stabilizer over the cycle-labelled centralizer
 of rho); it is isolated in one function and the class refuses to report
 comparison verdicts until it has been validated against golden table rows.
 
-Two counters are provided: a depth-first enumerator with reachability
-pruning (reference semantics, exponential), and an exact dynamic program
-that merges tuple prefixes sharing (partial product, connectivity partition)
-- it counts exactly the same tuples and is what production sweeps use.
+Two counters are provided.  `dfs_count` enumerates tuples one by one with
+reachability pruning: the reference semantics, exponential, for small
+degree.  `transitive_count` is what the oracle runs.  It sees only cycle
+types: the Frobenius character formula counts all tuples, transitive or
+not, as (1/z_lambda) sum_nu chi^nu(lambda) chi^nu(mu) cont(nu)^m (the
+character sum behind Okounkov's 2D-Toda tau function for double Hurwitz
+numbers, math/0004128), with characters by Murnaghan-Nakayama, and the
+intransitive tuples are peeled off by the orbit through rho's first cycle.
+It reaches |mu| = DEGREE_CAP in seconds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from functools import cache
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
+from operator import mul
 
 from .cutjoin import DHTable, canonical_mu
 from .weightpoly import WeightPolynomial
 
 __all__ = ["FactorizationOracle", "OracleReport", "DegreeCapError",
-           "dfs_count", "partitions_of"]
+           "DEGREE_CAP", "dfs_count", "partitions_of", "transitive_count"]
+
+
+# covers every |mu| that verify_conjecture(0, 4, mu_max=4) consumes
+DEGREE_CAP = 16
 
 
 class DegreeCapError(RuntimeError):
@@ -151,80 +163,83 @@ def dfs_count(d: int, lam: tuple[int, ...], rho: tuple[int, ...], m: int,
 
 
 # ----------------------------------------------------------------------
-# production counter: prefix-merged dynamic program
+# production counter: character formula
 
 
-class _GroupTables:
-    """Per-degree lookup tables: permutation and set-partition indices with
-    right-multiplication / merge transitions for every transposition."""
-
-    _cache: dict[int, "_GroupTables"] = {}
-
-    def __init__(self, d: int):
-        self.d = d
-        self.perms = list(permutations(range(d)))
-        self.perm_index = {p: i for i, p in enumerate(self.perms)}
-        self.partitions = self._all_partitions(d)
-        self.part_index = {p: i for i, p in enumerate(self.partitions)}
-        self.transpositions = list(combinations(range(d), 2))
-        n_part = len(self.partitions)
-        self.n_part = n_part
-        # combined transition: state = perm_idx * n_part + part_idx
-        self.transitions = []
-        for a, b in self.transpositions:
-            ptab = []
-            for p in self.perms:
-                q = list(p)
-                q[a], q[b] = q[b], q[a]
-                ptab.append(self.perm_index[tuple(q)])
-            mtab = [self.part_index[_merge(code, a, b)] for code in self.partitions]
-            self.transitions.append((ptab, mtab))
-        self.full_partition = self.part_index[_canon_partition([0] * d)] if d else 0
-
-    @staticmethod
-    def _all_partitions(d: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-
-        def rec(prefix: list[int], mx: int):
-            if len(prefix) == d:
-                out.append(tuple(prefix))
-                return
-            for v in range(mx + 2):
-                rec(prefix + [v], max(mx, v))
-
-        rec([0], 0)
-        return sorted(out)
-
-    @classmethod
-    def get(cls, d: int) -> "_GroupTables":
-        if d not in cls._cache:
-            cls._cache[d] = cls(d)
-        return cls._cache[d]
+@cache
+def _characters(rho: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """chi^nu(rho) for every nu |- |rho|, by Murnaghan-Nakayama: removing a
+    rim hook of length rho[0] from nu moves one bead of nu's beta-set down
+    by rho[0] onto an empty position, with sign (-1)^(beads jumped)."""
+    if not rho:
+        return {(): 1}
+    r, smaller = rho[0], _characters(rho[1:])
+    out = {}
+    for nu in partitions_of(sum(rho)):
+        top = len(nu) - 1
+        beta = [part + top - i for i, part in enumerate(nu)]
+        value = 0
+        for i, b in enumerate(beta):
+            if b < r or b - r in beta:
+                continue
+            moved = sorted(beta[:i] + [b - r] + beta[i + 1:], reverse=True)
+            rest = tuple(x - top + j for j, x in enumerate(moved) if x > top - j)
+            jumped = sum(b - r < c < b for c in beta)
+            value += (-1) ** jumped * smaller[rest]
+        out[nu] = value
+    return out
 
 
-def dp_count(d: int, lam: tuple[int, ...], rho: tuple[int, ...], m: int) -> int:
-    """Exact count of transitive tuples, merging prefixes that share the
-    same partial product and the same connectivity partition."""
-    tables = _GroupTables.get(d)
-    n_part = tables.n_part
-    states: dict[int, int] = {}
-    for i, p in enumerate(tables.perms):
-        if cycle_type(p) == lam:
-            key = i * n_part + tables.part_index[orbit_partition(p)]
-            states[key] = states.get(key, 0) + 1
-    for _ in range(m):
-        new: dict[int, int] = {}
-        for key, count in states.items():
-            pi, mi = divmod(key, n_part)
-            for ptab, mtab in tables.transitions:
-                nk = ptab[pi] * n_part + mtab[mi]
-                if nk in new:
-                    new[nk] += count
-                else:
-                    new[nk] = count
-        states = new
-    target = tables.perm_index[rho] * n_part + tables.full_partition
-    return states.get(target, 0)
+def _content(nu: tuple[int, ...]) -> int:
+    """Sum of the contents j - i over the boxes (i, j) of nu."""
+    return sum(part * (part - 1) // 2 - i * part for i, part in enumerate(nu))
+
+
+@cache
+def _tuple_count(lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
+    """Tuples (tau_0 of type lam, m transpositions), transitive or not, with
+    product a fixed permutation of type mu: the Frobenius formula
+    (1/z_lam) sum_nu chi^nu(lam) chi^nu(mu) cont(nu)^m."""
+    chi_mu = _characters(mu)
+    total = sum(chi * chi_mu[nu] * _content(nu) ** m
+                for nu, chi in _characters(lam).items())
+    return total // prod(k ** c * factorial(c) for k, c in Counter(lam).items())
+
+
+@cache
+def _splits(parts: tuple[int, ...], size: int) -> list:
+    """Distinct sub-multisets of a weakly decreasing tuple with sum `size`,
+    each with its complement and the number of index subsets it stands for."""
+    mults = Counter(parts)
+    out = []
+    for takes in product(*(range(c + 1) for c in mults.values())):
+        if sum(map(mul, mults, takes)) == size:
+            sub = Counter(dict(zip(mults, takes)))
+            out.append((tuple(sub.elements()), tuple((mults - sub).elements()),
+                        prod(map(comb, mults.values(), takes))))
+    return out
+
+
+@cache
+def transitive_count(lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
+    """Transitive tuples (tau_0 of type lam, m transpositions) with product
+    a fixed permutation rho of type mu; lam and mu weakly decreasing.
+
+    All tuples minus those whose orbit O through rho's first cycle is a
+    proper union of rho's cycles.  Such a tuple is a transitive tuple on O
+    (tau_0|O of type lam_b, m_b transpositions) shuffled into any tuple on
+    the other points, with C(m, m_b) choices of the slots O takes."""
+    count = _tuple_count(lam, mu, m)
+    for size in range(sum(mu) - mu[0]):
+        for others, rest, ways in _splits(mu[1:], size):
+            block = (mu[0],) + others
+            for lam_b, lam_rest, _ in _splits(lam, mu[0] + size):
+                # Riemann-Hurwitz on O: m_b = 2 g_b - 2 + len(lam_b) + len(block)
+                for m_b in range(len(lam_b) + len(block) - 2, m + 1, 2):
+                    count -= (ways * comb(m, m_b)
+                              * transitive_count(lam_b, block, m_b)
+                              * _tuple_count(lam_rest, rest, m - m_b))
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -243,9 +258,8 @@ class OracleReport:
 
 
 class FactorizationOracle:
-    def __init__(self, d_max: int, degree_cap: int = 6):
+    def __init__(self, d_max: int):
         self.d_max = d_max
-        self.degree_cap = degree_cap
         self._validated = False
 
     @staticmethod
@@ -261,18 +275,17 @@ class FactorizationOracle:
     def counts(self, g: int, mu) -> dict[tuple[tuple[int, ...], int], int]:
         mu = canonical_mu(mu)
         total = sum(mu)
-        if total > self.degree_cap:
+        if total > DEGREE_CAP:
             raise DegreeCapError(
-                f"degree {total} exceeds the oracle cap {self.degree_cap}"
+                f"degree {total} exceeds the oracle cap {DEGREE_CAP}"
             )
-        rho = rho_from_mu(mu)
         n = len(mu)
         out: dict[tuple[tuple[int, ...], int], int] = {}
         for lam in partitions_of(total, self.d_max):
             m = 2 * g - 2 + n + len(lam)
             if m < 0:
                 continue
-            out[(lam, m)] = dp_count(total, lam, rho, m)
+            out[(lam, m)] = transitive_count(lam, mu, m)
         return out
 
     def oracle_dh(self, g: int, mu) -> WeightPolynomial:

@@ -15,6 +15,7 @@ coefficients of the free energies after substituting x = z exp(-s P(z)).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .cutjoin import DHTable, canonical_mu
 from .series import Series
@@ -176,10 +177,6 @@ class PruningTransform:
 
 
 def _boxes(nu: tuple[int, ...]):
-    """All tuples mu with 1 <= mu_i <= nu_i."""
-    if not nu:
-        yield ()
-        return
-    for rest in _boxes(nu[1:]):
-        for first in range(1, nu[0] + 1):
-            yield (first,) + rest
+    """All tuples mu with 1 <= mu_i <= nu_i, the first slot varying fastest."""
+    for combo in product(*(range(1, n + 1) for n in reversed(nu))):
+        yield combo[::-1]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .cutjoin import DHTable
@@ -34,16 +35,6 @@ __all__ = ["WaveFunction", "QuantumCurveReport", "apply_quantum_curve",
            "semiclassical_check", "f01_from_quantum_curve"]
 
 Cell = tuple[int, int]  # (x degree, hbar degree)
-
-
-def _mu_tuples(n: int, total_cap: int):
-    """Ordered tuples of n positive integers with sum <= total_cap."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, total_cap - n + 2):
-        for rest in _mu_tuples(n - 1, total_cap - first):
-            yield (first,) + rest
 
 
 class WaveFunction:
@@ -73,8 +64,11 @@ class WaveFunction:
                 euler = 2 * g - 2 + n
                 if euler > self.L_ext + self.K - n:
                     break
-                for mu in _mu_tuples(n, self.K - max(0, euler - self.L_ext)):
-                    yield g, mu
+                # ordered mu with |mu| <= cap: the gaps between n
+                # increasing partial sums, in lexicographic order
+                cap = self.K - max(0, euler - self.L_ext)
+                for sums in combinations(range(1, cap + 1), n):
+                    yield g, tuple(b - a for a, b in zip((0,) + sums, sums))
                 g += 1
 
     def _build_log(self) -> dict[Cell, WeightPolynomial]:

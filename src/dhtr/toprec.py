@@ -17,11 +17,12 @@ diagnostics, and the decomposition of one-point data in the phi basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import prod
 
 import mpmath
 
-from .curve import PhiBasis, SpectralCurve, _lift_to_outer, _outer_constant
+from .curve import PhiBasis, SpectralCurve, _difference_quotient, _outer_constant
 from .cutjoin import DHTable
 from .series import Series, SeriesRing, TruncationError
 
@@ -268,6 +269,8 @@ class RecursionEngine:
 
     def form(self, g: int, n: int) -> CorrelationForm:
         """omega_{g,n} for 2g - 2 + n > 0 in the pole basis."""
+        if g < 0 or n < 1:
+            raise ValueError(f"forms need g >= 0 and n >= 1, got (g, n) = ({g}, {n})")
         if 2 * g - 2 + n <= 0:
             raise ValueError("stable forms require 2g - 2 + n > 0")
         key = (g, n)
@@ -457,23 +460,22 @@ class RecursionEngine:
                 b = zprime * shifted.inverse().pow_int(k + 1)
                 vectors[(i, k)] = [b.coefficient(mu - 1) for mu in range(1, mu_max + 1)]
             predictions: dict[tuple[int, ...], mpmath.mpc] = {}
-            for mu in _mu_box(form.n, mu_max):
+            for mu in product(range(1, mu_max + 1), repeat=form.n):
                 total = mpmath.mpc(0)
                 for idx, c in form.coeffs.items():
                     term = c
                     for mu_j, idx_j in zip(mu, idx):
                         term = term * vectors[idx_j][mu_j - 1]
                     total += term
-                scale = 1
-                for m in mu:
-                    scale *= m
-                predictions[mu] = total / scale
+                predictions[mu] = total / prod(mu)
             return predictions
 
     def verify_conjecture(self, g: int, n: int, mu_max: int,
                           tolerance=None) -> VerifyReport:
         """Compare the origin expansion of omega_{g,n} with the exact
         recursion values specialized at this curve's weights."""
+        if mu_max < 1:
+            raise ValueError(f"mu_max must be at least 1, got {mu_max}")
         tolerance = tolerance if tolerance is not None else self.default_tolerance()
         with mpmath.workprec(self.prec):
             form = self.form(g, n)
@@ -502,6 +504,8 @@ class RecursionEngine:
         omega_{0,2} - dx1 dx2/(x1-x2)^2 at the origin must match the exact
         two-point values (the mixed second derivative of -log Q with
         Q = (x1-x2)/(z1-z2))."""
+        if mu_max < 1:
+            raise ValueError(f"mu_max must be at least 1, got {mu_max}")
         tolerance = tolerance if tolerance is not None else self.default_tolerance()
         with mpmath.workprec(self.prec):
             ring = self.ring
@@ -509,23 +513,10 @@ class RecursionEngine:
             inner = SeriesRing(ring, "x1", n)
             zx = self.curve.invert_x_numeric(n)
             zx1 = Series(ring, "x1", 0, [zx.coefficient(k) for k in range(n)], n)
-            pows1 = [Series.constant(ring, "x1", ring.one, n)]
-            for _ in range(n):
-                pows1.append((pows1[-1] * zx1).truncate(n))
-            pows2 = [_lift_to_outer(inner, p, n) for p in pows1]
-
             p = self.curve.P.to_series("x", 2 * n).rename("z")
             z = Series.identity(ring, "z", 2 * n)
             xz = z * p.scale(-self.curve.s).exp()
-            quot = Series.zero(inner, "x2", n)
-            for k in range(1, xz.order):
-                ck = xz.coefficient(k)
-                if ck == 0:
-                    continue
-                for b in range(min(k, n)):
-                    a = k - 1 - b
-                    if a < n:
-                        quot = quot + pows2[b].scale(pows1[a].scale(ck))
+            quot = _difference_quotient(inner, xz, zx1, n)
             c0 = quot.coefficient(0)
             log_c0 = c0.log()
             normalized = quot.div_scalar(c0)
@@ -615,7 +606,8 @@ class RecursionEngine:
                 a_mat = mpmath.matrix(n_samples, unknowns)
                 col = 0
                 col_keys = []
-                for combo in _tensor(slots, n):
+                # the first slot varies fastest: this fixes the QR column order
+                for combo in (c[::-1] for c in product(slots, repeat=n)):
                     for t, pt in enumerate(samples):
                         value = mpmath.mpc(1)
                         for (i, m), z in zip(combo, pt):
@@ -686,24 +678,6 @@ def _form_drift(a: CorrelationForm, b: CorrelationForm):
         cb = b.coeffs.get(idx, mpmath.mpc(0))
         worst = max(worst, abs(ca - cb))
     return worst / scale
-
-
-def _mu_box(n: int, mu_max: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _mu_box(n - 1, mu_max):
-        for m in range(1, mu_max + 1):
-            yield (m,) + rest
-
-
-def _tensor(slots, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tensor(slots, n - 1):
-        for s in slots:
-            yield (s,) + rest
 
 
 def _sample_tuples(count: int, n: int, rmin, prec: int):

@@ -71,12 +71,6 @@ def test_bad_usage_exit_codes(capsys):
     assert err.value.code == 2
 
 
-def test_deterministic_output_across_thread_counts(capsys):
-    _, out1, _ = run(capsys, "--threads", "1", "dh", "--g", "1", "--mu", "3,1")
-    _, out4, _ = run(capsys, "--threads", "4", "dh", "--g", "1", "--mu", "3,1")
-    assert out1 == out4
-
-
 def test_table_csv_format(capsys):
     code, out, err = run(capsys, "table", "B", "--format", "csv")
     assert code == 0
@@ -128,8 +122,38 @@ def test_negative_extra_order_rejected(capsys):
 
 
 def test_window_below_one_rejected(capsys):
-    # 2(6g+2n-4)+8 = 0 at (g, n) = (-3, 9): the frame order check, not a
-    # truncation error at a negative order
+    # 2(6g+2n-4)+8 = 0 at (g, n) = (-3, 9): a usage error, not a
+    # truncation error at a negative order; the negative genus is caught
+    # before the frame order check (tested in test_curve) is reached
     code, _, err = run(capsys, "loop-check", "--g", "-3", "--n", "9")
     assert code == 2
-    assert err.startswith("error: frame order must be at least 1")
+    assert err.startswith("error: forms need g >= 0 and n >= 1")
+
+
+def test_negative_genus_rejected(capsys):
+    # a usage error, not a PASS on one vacuous all-zero row
+    code, out, err = run(capsys, "tr-verify", "--g", "-1", "--n", "5",
+                         "--mu-max", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: forms need g >= 0 and n >= 1")
+
+
+def test_no_points_rejected(capsys):
+    code, out, err = run(capsys, "tr-verify", "--g", "2", "--n", "0")
+    assert code == 2 and not out
+    assert err.startswith("error: forms need g >= 0 and n >= 1")
+
+
+def test_empty_mu_box_rejected(capsys):
+    # a usage error, not a PASS with no rows, on both verification paths
+    for n in ("3", "2"):
+        code, out, err = run(capsys, "tr-verify", "--g", "0", "--n", n,
+                             "--mu-max", "0")
+        assert code == 2 and not out
+        assert err.startswith("error: mu_max must be at least 1")
+
+
+def test_oracle_past_degree_six(capsys):
+    code, out, _ = run(capsys, "oracle", "--g", "0", "--mu", "4,3")
+    assert code == 0
+    assert out.strip().endswith("EQUAL") and "NOT EQUAL" not in out

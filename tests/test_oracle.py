@@ -1,18 +1,18 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from dhtr.cutjoin import DHTable
 from dhtr.oracle import (
+    DEGREE_CAP,
     DegreeCapError,
     FactorizationOracle,
     cycle_type,
     dfs_count,
-    dp_count,
     orbit_partition,
     partitions_of,
     rho_from_mu,
+    transitive_count,
 )
 from dhtr.weightpoly import WeightPolynomial
 
@@ -30,15 +30,16 @@ def test_perm_helpers():
 
 
 def test_dfs_equals_dp_small():
-    rng = random.Random(3)
-    for d in (2, 3, 4):
-        rho_choices = [rho_from_mu(mu) for mu in partitions_of(d)]
-        for lam in partitions_of(d):
-            for m in range(0, 7 - d):
-                rho = rng.choice(rho_choices)
-                assert dfs_count(d, lam, rho, m) == dp_count(d, lam, rho, m), (
-                    d, lam, m, rho,
-                )
+    # the character-formula counter against the reference enumerator, for
+    # every (lam, mu) at d <= 4 and every m, off-parity ones included
+    for d in (1, 2, 3, 4):
+        for mu in partitions_of(d):
+            rho = rho_from_mu(mu)
+            for lam in partitions_of(d):
+                for m in range(0, 6):
+                    assert dfs_count(d, lam, rho, m) == transitive_count(lam, mu, m), (
+                        d, lam, m, mu,
+                    )
 
 
 def test_degree_one_cover():
@@ -83,19 +84,18 @@ def test_conjugation_invariance_of_counts():
         assert cycle_type(rho2) == cycle_type(rho) and rho2 != rho
         for lam in partitions_of(d):
             for m in range(0, 4):
-                assert dp_count(d, lam, rho, m) == dp_count(d, lam, rho2, m)
+                assert dfs_count(d, lam, rho, m) == dfs_count(d, lam, rho2, m)
 
 
 def test_parity_obstruction():
     # product of m transpositions has sign (-1)^m; mismatched m counts
     # nothing
-    d = 3
-    rho = rho_from_mu((3,))            # even permutation
-    for lam in partitions_of(d):
+    mu = (3,)                          # even permutation
+    for lam in partitions_of(3):
         m_good = 2 * 0 - 2 + 1 + len(lam)
         for m in (m_good + 1, m_good + 3):
             if m >= 0:
-                assert dp_count(d, lam, rho, m) == 0
+                assert transitive_count(lam, mu, m) == 0
 
 
 def test_compare_against_recursion():
@@ -107,9 +107,9 @@ def test_compare_against_recursion():
 
 
 def test_degree_cap():
-    oracle = FactorizationOracle(3, degree_cap=3)
-    with pytest.raises(DegreeCapError):
-        oracle.counts(0, (2, 2))
+    oracle = FactorizationOracle(2)
+    with pytest.raises(DegreeCapError, match=f"cap {DEGREE_CAP}"):
+        oracle.counts(0, (2,) * (DEGREE_CAP // 2) + (1,))
 
 
 def test_fail_closed_normalization(monkeypatch):
@@ -124,15 +124,24 @@ def test_fail_closed_normalization(monkeypatch):
 
 
 def test_degree_six_boundary():
-    # the default degree cap: one two-part and one three-part instance
+    # degree six: one two-part and one three-part instance
     oracle = FactorizationOracle(6)
     assert oracle.compare(0, (3, 3), DHTable(6)).equal
     assert oracle.compare(1, (2, 2, 2), DHTable(6)).equal
 
 
 def test_dfs_equals_dp_degree_five_spot():
-    # one moderate degree-5 case ties the reference enumerator to the DP
+    # one moderate degree-5 case ties the reference enumerator to the
+    # character-formula counter
     rho = rho_from_mu((3, 2))
     for lam in [(3, 2), (2, 2, 1)]:
         m = 2 * 0 - 2 + 2 + len(lam)
-        assert dfs_count(5, lam, rho, m) == dp_count(5, lam, rho, m)
+        assert dfs_count(5, lam, rho, m) == transitive_count(lam, (3, 2), m)
+
+
+def test_degree_twelve_and_sixteen():
+    # past the reach of tuple enumeration: the values the TR checks consume
+    oracle = FactorizationOracle(2)
+    for g, mu in [(0, (4, 4, 4, 4)), (1, (5, 4, 3)), (2, (4, 4, 4))]:
+        report = oracle.compare(g, mu, DHTable(2))
+        assert report.equal, (g, mu, report.diffs)
