@@ -32,11 +32,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb, factorial, prod
-from operator import mul
 
-from .cutjoin import DHTable, canonical_mu
+from .cutjoin import DHTable, canonical_mu, splits
 from .weightpoly import WeightPolynomial
 
 __all__ = ["FactorizationOracle", "OracleReport", "DegreeCapError",
@@ -207,20 +206,6 @@ def _tuple_count(lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
 
 
 @cache
-def _splits(parts: tuple[int, ...], size: int) -> list:
-    """Distinct sub-multisets of a weakly decreasing tuple with sum `size`,
-    each with its complement and the number of index subsets it stands for."""
-    mults = Counter(parts)
-    out = []
-    for takes in product(*(range(c + 1) for c in mults.values())):
-        if sum(map(mul, mults, takes)) == size:
-            sub = Counter(dict(zip(mults, takes)))
-            out.append((tuple(sub.elements()), tuple((mults - sub).elements()),
-                        prod(map(comb, mults.values(), takes))))
-    return out
-
-
-@cache
 def transitive_count(lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
     """Transitive tuples (tau_0 of type lam, m transpositions) with product
     a fixed permutation rho of type mu; lam and mu weakly decreasing.
@@ -230,15 +215,19 @@ def transitive_count(lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
     (tau_0|O of type lam_b, m_b transpositions) shuffled into any tuple on
     the other points, with C(m, m_b) choices of the slots O takes."""
     count = _tuple_count(lam, mu, m)
-    for size in range(sum(mu) - mu[0]):
-        for others, rest, ways in _splits(mu[1:], size):
-            block = (mu[0],) + others
-            for lam_b, lam_rest, _ in _splits(lam, mu[0] + size):
-                # Riemann-Hurwitz on O: m_b = 2 g_b - 2 + len(lam_b) + len(block)
-                for m_b in range(len(lam_b) + len(block) - 2, m + 1, 2):
-                    count -= (ways * comb(m, m_b)
-                              * transitive_count(lam_b, block, m_b)
-                              * _tuple_count(lam_rest, rest, m - m_b))
+    for others, rest, ways in splits(mu[1:]):
+        if not rest:
+            continue  # the orbit is all of rho's cycles
+        block = (mu[0],) + others
+        size = sum(block)
+        for lam_b, lam_rest, _ in splits(lam):
+            if sum(lam_b) != size:
+                continue
+            # Riemann-Hurwitz on O: m_b = 2 g_b - 2 + len(lam_b) + len(block)
+            for m_b in range(len(lam_b) + len(block) - 2, m + 1, 2):
+                count -= (ways * comb(m, m_b)
+                          * transitive_count(lam_b, block, m_b)
+                          * _tuple_count(lam_rest, rest, m - m_b))
     return count
 
 
@@ -274,6 +263,8 @@ class FactorizationOracle:
 
     def counts(self, g: int, mu) -> dict[tuple[tuple[int, ...], int], int]:
         mu = canonical_mu(mu)
+        if g < 0:
+            raise ValueError(f"genus must be >= 0, got {g}")
         total = sum(mu)
         if total > DEGREE_CAP:
             raise DegreeCapError(

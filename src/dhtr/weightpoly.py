@@ -237,25 +237,6 @@ class WeightPolynomial:
         out.terms = {key[:-1] + (key[-1] + m,): c for key, c in self.terms.items()}
         return out
 
-    def integrate_s(self) -> "WeightPolynomial":
-        """Antiderivative in s with zero constant term."""
-        out = WeightPolynomial(self.d_max)
-        out.terms = {
-            key[:-1] + (key[-1] + 1,): coeff / (key[-1] + 1)
-            for key, coeff in self.terms.items()
-        }
-        return out
-
-    def diff_s(self) -> "WeightPolynomial":
-        out = WeightPolynomial(self.d_max)
-        terms = {}
-        for key, coeff in self.terms.items():
-            m = key[-1]
-            if m:
-                terms[key[:-1] + (m - 1,)] = coeff * m
-        out.terms = terms
-        return out
-
     def monomials(self) -> Iterator[tuple[tuple[int, ...], int, Fraction]]:
         """Yield (q exponent vector, s exponent, coefficient)."""
         for key, coeff in self.terms.items():

@@ -131,11 +131,17 @@ def test_window_below_one_rejected(capsys):
 
 
 def test_negative_genus_rejected(capsys):
-    # a usage error, not a PASS on one vacuous all-zero row
-    code, out, err = run(capsys, "tr-verify", "--g", "-1", "--n", "5",
-                         "--mu-max", "1")
-    assert code == 2 and not out
-    assert err.startswith("error: forms need g >= 0 and n >= 1")
+    # a usage error, not a PASS on one vacuous all-zero row, a zero
+    # polynomial, or an EQUAL between two zero polynomials
+    for argv, message in [
+        (("tr-verify", "--g", "-1", "--n", "5", "--mu-max", "1"),
+         "error: forms need g >= 0 and n >= 1"),
+        (("dh", "--g", "-1", "--mu", "2"), "error: genus must be >= 0"),
+        (("oracle", "--g", "-1", "--mu", "2,2"), "error: genus must be >= 0"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith(message), argv
 
 
 def test_no_points_rejected(capsys):

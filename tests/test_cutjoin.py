@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from dhtr import cutjoin
 from dhtr.cutjoin import DHTable, ResourceLimitError, canonical_mu
+from dhtr.oracle import partitions_of
 from dhtr.tables import load_golden
 from dhtr.weightpoly import WeightPolynomial
 
@@ -87,10 +89,27 @@ def test_d_stability():
         assert small.dh(g, mu).embed(5) == wide.dh(g, mu)
 
 
-def test_euler_consistency(table5):
-    # m = 0 monomials are killed by the operator, higher ones scaled by m
-    for g, mu in [(0, (2,)), (0, (3,)), (1, (2, 1)), (2, (2,)), (0, (1, 1, 1))]:
-        assert table5.euler_consistency(g, mu)
+def test_euler_consistency():
+    # m = 0 monomials are killed by the operator, higher ones scaled by m;
+    # every key the integer recursion built is re-derived in rationals
+    table = DHTable(3)
+    for total in range(1, 7):
+        for mu in partitions_of(total):
+            for g in range(3):
+                table.dh(g, mu)
+    keys = list(table._counts)
+    assert len(keys) == 3 * 29  # g <= 2 times the 29 partitions of 1..6
+    for g, mu in keys:
+        assert table.euler_consistency(g, mu), (g, mu)
+
+
+def test_odd_doubled_sum_is_an_error(monkeypatch):
+    # the doubled right side is halved exactly, never floored: one term of
+    # weight 1 times N(0, (1,)) = 1 leaves an odd sum
+    monkeypatch.setattr(cutjoin, "_terms", lambda g, mu: iter(
+        [] if mu == (1,) else [(False, 1, 1, 0, ((0, (1,)),))]))
+    with pytest.raises(ArithmeticError, match="odd doubled"):
+        DHTable(2).dh(0, (2,))
 
 
 def test_specialize_examples(table5):

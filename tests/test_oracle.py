@@ -142,6 +142,7 @@ def test_dfs_equals_dp_degree_five_spot():
 def test_degree_twelve_and_sixteen():
     # past the reach of tuple enumeration: the values the TR checks consume
     oracle = FactorizationOracle(2)
-    for g, mu in [(0, (4, 4, 4, 4)), (1, (5, 4, 3)), (2, (4, 4, 4))]:
+    for g, mu in [(0, (4, 4, 4, 4)), (1, (5, 4, 3)), (2, (4, 4, 4)),
+                  (2, (4, 4, 4, 4)), (1, (6, 5, 5))]:
         report = oracle.compare(g, mu, DHTable(2))
         assert report.equal, (g, mu, report.diffs)

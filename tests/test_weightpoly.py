@@ -76,8 +76,6 @@ def test_s_grading_helpers():
     p = WeightPolynomial.monomial((1, 0, 0), 2, Fraction(3, 2), D)
     assert p.s_degree() == 2
     assert p.s_coefficient(2) == WeightPolynomial.monomial((1, 0, 0), 0, Fraction(3, 2), D)
-    assert p.integrate_s() == WeightPolynomial.monomial((1, 0, 0), 3, Fraction(1, 2), D)
-    assert p.integrate_s().diff_s() == p
     assert p.mul_s_power(1).s_degree() == 3
 
 
