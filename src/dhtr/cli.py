@@ -11,7 +11,10 @@ qc-verify  exact quantum-curve residual check
 loop-check sigma-symmetrization diagnostics for a correlation form
 phi-fit    decompose one form in the centered phi basis
 
-Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error.
+Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error, 3 could
+not compute (an ArithmeticError such as a non-finite series coefficient, a
+branch point that does not polish, or a division by zero).  A computation
+that breaks down is never reported as a failed verdict.
 """
 
 from __future__ import annotations
@@ -372,6 +375,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,13 @@ A series carries an explicit window [lo, order): coefficients for exponents
 below lo are exactly zero, coefficients at or above `order` are unknown.
 Truncation order is explicit state and every operation propagates it with
 the min rule; nothing silently extends precision.
+
+Products over the exact rings are the schoolbook sum.  Over ComplexRing a
+Series or Poly product is one exact convolution (ComplexRing.convolve): the
+real and imaginary part of each coefficient is the exact sum of the exact
+products, rounded once to nearest at mpmath.mp.prec.  A non-finite (inf or
+nan) coefficient in either factor raises ArithmeticError; for a Series the
+message names the variable.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 __all__ = [
     "AlgebraError",
@@ -63,9 +71,56 @@ class RationalRing:
         return "RationalRing()"
 
 
+def _fixed_point(coeffs):
+    """Real and imaginary parts of mpc (or mpf) coefficients as exact
+    signed ints on the smallest exponent of any nonzero part: returns
+    (re, im, exp, bits) with |part| < 2**bits, or None if all are zero."""
+    parts = [p for c in coeffs
+             for p in (getattr(c, "_mpc_", None) or (c._mpf_, fzero))]
+    live = [p for p in parts if p[1]]
+    if len(live) < len(parts) and any(exp for _, man, exp, _ in parts if not man):
+        raise ArithmeticError("non-finite coefficient (inf or nan)")
+    if not live:
+        return None
+    emin = min(exp for _, _, exp, _ in live)
+    bits = max(exp + bc for _, _, exp, bc in live) - emin
+    ints = [(-man if sign else man) << (exp - emin) if man else 0
+            for sign, man, exp, _ in parts]
+    return ints[0::2], ints[1::2], emin, bits
+
+
+def _pack(values, width):
+    """sum(v * 2**(width*k)): one int with a signed slot per value."""
+    acc = 0
+    for v in reversed(values):
+        acc = (acc << width) + v
+    return acc
+
+
+def _unpack(packed, width, n):
+    """The lowest n signed slots of `packed`; each slot must lie strictly
+    between -2**(width-1) and 2**(width-1)."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    for _ in range(n):
+        v = packed & mask
+        packed >>= width
+        if v >= half:  # a negative slot borrowed one from the slot above
+            v -= 1 << width
+            packed += 1
+        out.append(v)
+    return out
+
+
 class ComplexRing:
     """mpmath complex numbers; callers set the working precision via
-    mpmath.workprec around whole computations."""
+    mpmath.workprec around whole computations.
+
+    Products of coefficient lists go through `convolve`: every output
+    coefficient is the exact convolution sum, rounded once per real and
+    imaginary part, to nearest at mpmath.mp.prec.  A non-finite input
+    coefficient raises ArithmeticError."""
 
     def __init__(self, precision: int):
         if precision < 64:
@@ -86,11 +141,57 @@ class ComplexRing:
             raise ZeroDivisionError("division by zero")
         return 1 / x
 
+    def convolve(self, a, b, n):
+        """The first n coefficients of the product of the coefficient lists
+        a and b, by Kronecker substitution: each list's parts become exact
+        ints packed into one big int, so each of the three Gauss products
+        Ar*Br, Ai*Bi and (Ar+Ai)*(Br+Bi) is a single int multiplication."""
+        a, b = a[:n], b[:n]
+        fa, fb = _fixed_point(a), _fixed_point(b)
+        if fa is None or fb is None:
+            return [self.zero] * n
+        (ar, ai, ea, bits_a), (br, bi, eb, bits_b) = fa, fb
+        # A slot of (Ar+Ai)(Br+Bi) sums at most min(len) products, each below
+        # 2**(bits_a+1) * 2**(bits_b+1) in size, so it is below
+        # 2**(bits_a+bits_b+2+bitlen(min(len))); one more bit holds the sign.
+        w = bits_a + bits_b + min(len(a), len(b)).bit_length() + 3
+        pa_r, pa_i, pb_r, pb_i = (_pack(v, w) for v in (ar, ai, br, bi))
+        p1 = pa_r * pb_r
+        p2 = pa_i * pb_i
+        re = _unpack(p1 - p2, w, n)
+        if pa_i or pb_i:
+            im = _unpack((pa_r + pa_i) * (pb_r + pb_i) - p1 - p2, w, n)
+        else:
+            im = [0] * n
+        e, prec = ea + eb, mpmath.mp.prec
+
+        def rounded(v):
+            return from_man_exp(v, e, prec, round_nearest) if v else fzero
+
+        make = mpmath.mp.make_mpc
+        return [make((rounded(x), rounded(y))) for x, y in zip(re, im)]
+
     def __eq__(self, other):
         return isinstance(other, ComplexRing) and other.precision == self.precision
 
     def __repr__(self):
         return f"ComplexRing({self.precision})"
+
+
+def _product(ring, a, b, n):
+    """The first n coefficients of the product of the coefficient lists a
+    and b: ComplexRing.convolve over mpc, the schoolbook sum otherwise."""
+    if isinstance(ring, ComplexRing):
+        return ring.convolve(a, b, n)
+    out = [ring.zero] * n
+    zero = ring.is_zero
+    for i, x in enumerate(a[:n]):
+        if zero(x):
+            continue
+        for j, y in enumerate(b[: n - i]):
+            if not zero(y):
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
 class SeriesRing:
@@ -270,16 +371,10 @@ class Series:
         lo = self.lo + other.lo
         order = min(self.lo + other.order, other.lo + self.order)
         n = max(order - lo, 0)
-        coeffs = [self.ring.zero] * n
-        zero = self.ring.is_zero
-        for i, a in enumerate(self.coeffs):
-            if zero(a):
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if not zero(b):
-                    coeffs[i + j] = coeffs[i + j] + a * b
+        try:
+            coeffs = _product(self.ring, self.coeffs, other.coeffs, n)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{exc} in a series in {self.var}") from None
         return Series(self.ring, self.var, min(lo, order), coeffs, order)
 
     def scale(self, value) -> "Series":
@@ -498,13 +593,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if self.ring.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        return Poly(self.ring, _product(self.ring, self.coeffs, other.coeffs, n))
 
     def scale(self, value) -> "Poly":
         if isinstance(value, (int, Fraction)):

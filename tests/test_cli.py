@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dhtr.cli import main
+from dhtr.curve import SpectralCurve
 from dhtr.weightpoly import WeightPolynomial
 
 
@@ -163,3 +164,16 @@ def test_oracle_past_degree_six(capsys):
     code, out, _ = run(capsys, "oracle", "--g", "0", "--mu", "4,3")
     assert code == 0
     assert out.strip().endswith("EQUAL") and "NOT EQUAL" not in out
+
+
+def test_arithmetic_error_exits_three(capsys, monkeypatch):
+    # a computation that breaks down is "could not compute" (exit 3), one
+    # error line, never a traceback and never a failed verdict (exit 1)
+    def broken(self):
+        raise ArithmeticError("branch point failed to polish: residual 1.0")
+
+    monkeypatch.setattr(SpectralCurve, "branch_points", broken)
+    code, out, err = run(capsys, "tr-verify", "--g", "0", "--n", "3",
+                         "--mu-max", "2")
+    assert code == 3 and not out
+    assert err == "error: branch point failed to polish: residual 1.0\n"

@@ -305,6 +305,127 @@ def test_numeric_ring_against_exact():
             assert abs(g.coefficient(k) - ring.from_rational(exact.coefficient(k))) < mpmath.mpf(2) ** -100
 
 
+# ----------------------------------------------------------------------
+# ComplexRing products: exact convolution, rounded once per part
+
+
+def _exact(x) -> Fraction:
+    """The mpf x as the rational man * 2**exp."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(-man if sign else man)
+    return value * 2 ** exp if exp >= 0 else value / 2 ** -exp
+
+
+def _rounded_product(a, b, n):
+    """Raw parts of the first n coefficients of a*b: the exact rational
+    convolution, each part then rounded to nearest by mpmath."""
+    ea = [(_exact(mpmath.re(c)), _exact(mpmath.im(c))) for c in a]
+    eb = [(_exact(mpmath.re(c)), _exact(mpmath.im(c))) for c in b]
+    out = []
+    for k in range(n):
+        re = im = Fraction(0)
+        for i in range(max(0, k - len(eb) + 1), min(k + 1, len(ea))):
+            (ar, ai), (br, bi) = ea[i], eb[k - i]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out.append(tuple(mpmath.fdiv(q.numerator, q.denominator)._mpf_
+                         for q in (re, im)))
+    return out
+
+
+def _coefficient(prec):
+    """Raw (man, exp) parts of an mpc, or of an mpf when the flag is set:
+    full-width mantissas, exponents spread over 400 bits, exact zeros."""
+    part = st.one_of(st.just((0, 0)), st.tuples(
+        st.integers(-(2 ** prec - 1), 2 ** prec - 1), st.integers(-200, 200)))
+    return st.tuples(part, part, st.booleans())
+
+
+def _make(raw):
+    """The coefficient of raw parts; exact when the mantissas fit the
+    working precision."""
+    (m1, e1), (m2, e2), real = raw
+    if real:
+        return mpmath.ldexp(m1, e1)
+    return mpmath.mpc(mpmath.ldexp(m1, e1), mpmath.ldexp(m2, e2))
+
+
+def _series(ring, lo, coeffs, var="u"):
+    return Series(ring, var, lo, coeffs, lo + len(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([256, 512]), st.data())
+def test_complex_product_correctly_rounded(prec, data):
+    draw = data.draw
+    raws = [draw(st.lists(_coefficient(prec), max_size=10)) for _ in "ab"]
+    zeros = [draw(st.booleans()) for _ in "ab"]
+    los = [draw(st.integers(-3, 2)) for _ in "ab"]
+    n = draw(st.integers(0, 12))
+    ring = ComplexRing(prec)
+    with mpmath.workprec(prec):
+        a, b = (_series(ring, lo, [mpmath.mpc(0)] * len(raw) if zero
+                        else [_make(r) for r in raw])
+                for lo, raw, zero in zip(los, raws, zeros))
+        prod = a * b
+        direct = ring.convolve(a.coeffs, b.coeffs, n)
+        want = _rounded_product(a.coeffs, b.coeffs, max(n, len(prod.coeffs)))
+    order = min(a.lo + b.order, b.lo + a.order)
+    assert (prod.lo, prod.order) == (min(a.lo + b.lo, order), order)
+    assert [c._mpc_ for c in prod.coeffs] == want[: len(prod.coeffs)]
+    assert [c._mpc_ for c in direct] == want[:n]
+
+
+def test_complex_product_wide_spread_laurent():
+    # magnitudes 2**-300 .. 2**300, exact zeros inside the windows, a
+    # Laurent window, unequal lengths, n below both lengths, and the same
+    # product as polynomials
+    prec = 256
+    ring = ComplexRing(prec)
+    with mpmath.workprec(prec):
+        a = [mpmath.mpc(mpmath.ldexp(3 ** 160, e), mpmath.ldexp(-(5 ** 100), -e))
+             for e in (-300, 0, 300)] + [mpmath.mpc(0), mpmath.mpf(1) / 3]
+        b = [mpmath.mpc(0), mpmath.mpc(mpmath.ldexp(7 ** 90, 250), 1),
+             mpmath.mpc(0, mpmath.ldexp(-1, -299)), mpmath.mpc(1) / 7,
+             mpmath.mpc(0), mpmath.mpc(mpmath.mpf(2) / 3, mpmath.mpf(-5) / 9),
+             mpmath.mpc(1)]
+        prod = _series(ring, -2, a) * _series(ring, 1, b)
+        short = ring.convolve(a, b, 3)
+        poly = Poly(ring, a) * Poly(ring, b)
+        want = _rounded_product(a, b, len(a) + len(b) - 1)
+    assert (prod.lo, prod.order) == (-1, 4)
+    assert [c._mpc_ for c in prod.coeffs] == want[:len(a)]
+    assert [c._mpc_ for c in short] == want[:3]
+    assert [c._mpc_ for c in poly.coeffs] == want
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+@pytest.mark.parametrize("alternating", [False, True])
+def test_complex_product_slot_width_worst_case(prec, alternating):
+    # every part at full mantissa on one exponent: the slots of
+    # (Ar+Ai)(Br+Bi) reach the size the slot width is chosen for
+    n = 33
+    top = 2 ** prec - 1
+    with mpmath.workprec(prec):
+        coeffs = [_make(((s * top, -prec), (s * top, -prec), False))
+                  for s in ((-1) ** k if alternating else 1 for k in range(n))]
+        assert all(c.real._mpf_[3] == c.imag._mpf_[3] == prec for c in coeffs)
+        prod = _series(ComplexRing(prec), 0, coeffs) * _series(ComplexRing(prec), 0, coeffs)
+        want = _rounded_product(coeffs, coeffs, n)
+    assert [c._mpc_ for c in prod.coeffs] == want
+
+
+@pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf),
+                                 mpmath.mpc(-mpmath.inf, 0), mpmath.mpf("nan")])
+def test_complex_product_rejects_non_finite(bad):
+    ring = ComplexRing(256)
+    finite = Series(ring, "zeta", 0, [mpmath.mpc(1), mpmath.mpc(2, 3)], 2)
+    broken = Series(ring, "zeta", 0, [mpmath.mpc(1), bad], 2)
+    for left, right in ((finite, broken), (broken, finite)):
+        with pytest.raises(ArithmeticError, match="non-finite.*zeta"):
+            left * right
+
+
 def test_nested_series_ring():
     inner_ring = RationalRing()
     ring = SeriesRing(inner_ring, "w", 3)
