@@ -13,8 +13,9 @@ phi-fit    decompose one form in the centered phi basis
 
 Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error, 3 could
 not compute (an ArithmeticError such as a non-finite series coefficient, a
-branch point that does not polish, or a division by zero).  A computation
-that breaks down is never reported as a failed verdict.
+branch point that does not polish, a division by zero, or an oracle that
+fails its golden normalization check).  A computation that breaks down is
+never reported as a failed verdict.
 """
 
 from __future__ import annotations

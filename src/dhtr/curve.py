@@ -369,6 +369,8 @@ class CheckReport:
 def f01_check(d_max: int, order: int) -> CheckReport:
     """x d/dx F_{0,1}(x) = P(z(x)) as exact series: the left side comes from
     the recursion table, the right from exact reversion."""
+    if order < 1:
+        raise ValueError(f"closed-form checks need order >= 1, got {order}")
     table = DHTable(d_max)
     ring = WeightPolyRing(d_max)
     coeffs = [ring.zero] + [table.dh(0, (mu,)).scale(mu) for mu in range(1, order + 1)]
@@ -386,6 +388,8 @@ def f02_check(d_max: int, order: int) -> CheckReport:
 
     with z_i = z(x_i), expanded at the origin, must reproduce DH_{0,2}
     coefficient by coefficient (exact, bivariate via nested series)."""
+    if order < 1:
+        raise ValueError(f"closed-form checks need order >= 1, got {order}")
     table = DHTable(d_max)
     ring = WeightPolyRing(d_max)
     n = order + 1

@@ -39,7 +39,8 @@ from .cutjoin import DHTable, canonical_mu, splits
 from .weightpoly import WeightPolynomial
 
 __all__ = ["FactorizationOracle", "OracleReport", "DegreeCapError",
-           "DEGREE_CAP", "dfs_count", "partitions_of", "transitive_count"]
+           "OracleValidationError", "DEGREE_CAP", "dfs_count", "partitions_of",
+           "transitive_count"]
 
 
 # covers every |mu| that verify_conjecture(0, 4, mu_max=4) consumes
@@ -48,6 +49,11 @@ DEGREE_CAP = 16
 
 class DegreeCapError(RuntimeError):
     pass
+
+
+class OracleValidationError(ArithmeticError):
+    """The tuple-count normalization failed its golden cross-check: the
+    oracle cannot compute a trustworthy polynomial (not a usage error)."""
 
 
 def partitions_of(total: int, max_part: int | None = None):
@@ -303,7 +309,7 @@ class FactorizationOracle:
         wanted = {(0, (2,)), (0, (1, 1)), (0, (1, 1, 1)), (1, (2,))}
         rows = [row for row in load_golden("A") if (row.g, row.mu) in wanted]
         if len(rows) != len(wanted):
-            raise RuntimeError("golden rows for oracle validation missing")
+            raise OracleValidationError("golden rows for oracle validation missing")
         for row in rows:
             got = self.oracle_dh(row.g, row.mu).at_s_one()
             want = {}
@@ -313,7 +319,7 @@ class FactorizationOracle:
                 padded = key[: self.d_max] + (0,) * (self.d_max - len(key))
                 want[padded] = value
             if got != want:
-                raise RuntimeError(
+                raise OracleValidationError(
                     f"oracle normalization failed golden cross-check at "
                     f"g={row.g}, mu={row.mu}: got {got}, want {want}"
                 )

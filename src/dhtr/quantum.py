@@ -13,22 +13,26 @@ with yhat = hbar x d/dx acting on monomials as yhat x^m = hbar m x^m.  All
 coefficients live in the exact weight-polynomial ring, so the residual of
 Q psi is a polynomial identity: every retained cell must be the exact zero.
 
-Truncation bookkeeping: a cell x^k hbar^j of psi mixes log-psi data with
-hbar-grading up to j + k - 1 (each hbar^{-1} factor carries at least one
-power of x), so the builder populates the recursion table adaptively from
-that bound rather than from the display window alone.
+Truncation bookkeeping: the hbar degree j of a cell x^k hbar^j is never
+below -k, since every hbar^-1 comes with at least one power of x.  Cells are
+therefore graded by j + k, which for a log cell is 2g - 2 + n + |mu| >= 0.
+log psi is one Series in x, to x^K, whose coefficients are power series in
+h, to h^(L+K); the cell x^k hbar^j sits at x^k h^(j+k).  Products add this
+grading and it is never negative, so psi = exp(log psi) is exact on the
+whole window and only table entries with 2g - 2 + n + |mu| <= L + K are
+read.  A cell past the window raises TruncationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import factorial
 
 from .cutjoin import DHTable
-from .pruning import p_series
-from .series import Series
+from .pruning import p_series, x_of_z_series
+from .series import Series, SeriesRing
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
 __all__ = ["WaveFunction", "QuantumCurveReport", "apply_quantum_curve",
@@ -37,10 +41,18 @@ __all__ = ["WaveFunction", "QuantumCurveReport", "apply_quantum_curve",
 Cell = tuple[int, int]  # (x degree, hbar degree)
 
 
+def _cells(series: Series) -> dict[Cell, WeightPolynomial]:
+    """The nonzero coefficients of a nested series in x over h, keyed
+    (x degree k, hbar degree j) with h^(j+k) the inner exponent."""
+    return {(k, jk - k): c
+            for k, inner in enumerate(series.coeffs, series.lo)
+            for jk, c in enumerate(inner.coeffs, inner.lo) if not c.is_zero()}
+
+
 class WaveFunction:
-    """Exact cells psi[(k, j)] for x-degree k <= K; the hbar window keeps
-    j <= L + K - 1 internally so that both the quantum-curve residual cells
-    and the log-consistency check are exact."""
+    """Exact psi and log psi on the window k <= K, j + k <= L + K, where k
+    is the x-degree and j the hbar-degree; `psi` and `log_psi` are nested
+    Series (x over h^(j+k)), `cells` and `log_cells` their nonzero cells."""
 
     def __init__(self, table: DHTable, K: int, L: int):
         if K < 1 or L < 0:
@@ -49,98 +61,65 @@ class WaveFunction:
         self.d_max = table.d_max
         self.K = K
         self.L = L
-        self.L_ext = L + K - 1
-        self.log_cells = self._build_log()
-        self.cells = self._exponentiate(self.log_cells)
+        self.J = L + K
+        self.log_psi = self._build_log()
+        self.psi = self.log_psi.exp()
 
     # ------------------------------------------------------------------
 
     def _coverage(self):
-        """(g, n, mu) triples whose monomials can reach a stored cell:
-        2g - 2 + n <= L_ext + K - |mu| and |mu| <= K."""
+        """(g, mu) with |mu| <= K and 2g - 2 + n + |mu| <= J: every table
+        entry that reaches a cell of the window."""
         for n in range(1, self.K + 1):
-            g = 0
-            while True:
-                euler = 2 * g - 2 + n
-                if euler > self.L_ext + self.K - n:
+            for g in count():
+                cap = min(self.K, self.J - (2 * g - 2 + n))
+                if cap < n:
                     break
                 # ordered mu with |mu| <= cap: the gaps between n
                 # increasing partial sums, in lexicographic order
-                cap = self.K - max(0, euler - self.L_ext)
                 for sums in combinations(range(1, cap + 1), n):
                     yield g, tuple(b - a for a, b in zip((0,) + sums, sums))
-                g += 1
 
-    def _build_log(self) -> dict[Cell, WeightPolynomial]:
-        cells: dict[Cell, WeightPolynomial] = {}
+    def _build_log(self) -> Series:
+        ring = self.table.ring
+        grid = [[ring.zero] * (self.J + 1) for _ in range(self.K + 1)]
         for g, mu in self._coverage():
-            n = len(mu)
             value = self.table.dh(g, mu)
-            if value.is_zero():
-                continue
-            key = (sum(mu), 2 * g - 2 + n)
-            scaled = value / factorial(n)
-            cells[key] = cells.get(key, self.table.ring.zero) + scaled
-        return {key: value for key, value in cells.items() if not value.is_zero()}
-
-    def _truncated_mul(self, a: dict[Cell, WeightPolynomial],
-                       b: dict[Cell, WeightPolynomial]) -> dict[Cell, WeightPolynomial]:
-        out: dict[Cell, WeightPolynomial] = {}
-        for (k1, j1), c1 in a.items():
-            for (k2, j2), c2 in b.items():
-                k, j = k1 + k2, j1 + j2
-                if k > self.K or j > self.L_ext:
-                    continue
-                prod = c1 * c2
-                if prod.is_zero():
-                    continue
-                key = (k, j)
-                out[key] = out.get(key, self.table.ring.zero) + prod
-        return {key: value for key, value in out.items() if not value.is_zero()}
-
-    def _exponentiate(self, logpsi) -> dict[Cell, WeightPolynomial]:
-        one = self.table.ring.one
-        acc = {(0, 0): one}
-        term = {(0, 0): one}
-        # every log cell has x-degree >= 1, so the series terminates at K
-        for p in range(1, self.K + 1):
-            term = self._truncated_mul(term, logpsi)
-            term = {key: value / p for key, value in term.items()}
-            if not term:
-                break
-            for key, value in term.items():
-                acc[key] = acc.get(key, self.table.ring.zero) + value
-        return {key: value for key, value in acc.items() if not value.is_zero()}
+            if not value.is_zero():
+                n, k = len(mu), sum(mu)
+                grid[k][2 * g - 2 + n + k] += value / factorial(n)
+        rows = [Series(ring, "h", 0, row, self.J + 1) for row in grid]
+        return Series(SeriesRing(ring, "h", self.J + 1), "x", 0, rows, self.K + 1)
 
     # ------------------------------------------------------------------
 
+    @property
+    def cells(self) -> dict[Cell, WeightPolynomial]:
+        return _cells(self.psi)
+
+    @property
+    def log_cells(self) -> dict[Cell, WeightPolynomial]:
+        return _cells(self.log_psi)
+
     def cell(self, k: int, j: int) -> WeightPolynomial:
-        return self.cells.get((k, j), self.table.ring.zero)
+        """psi at x^k hbar^j: zero for j + k < 0, TruncationError past the
+        window."""
+        return self.psi.coefficient(k).coefficient(j + k)
 
     def log_matches_direct_sum(self) -> bool:
-        """Invariant: log of the stored series equals the direct sum, cell
-        by cell, on the exact window (and the hbar grading of each log cell
-        is pinned to 2g - 2 + n by construction)."""
-        # log via the alternating series sum_p (-1)^(p+1) G^p / p, G = psi - 1
-        g_cells = dict(self.cells)
-        g_cells[(0, 0)] = g_cells.get((0, 0), self.table.ring.zero) - self.table.ring.one
-        g_cells = {k: v for k, v in g_cells.items() if not v.is_zero()}
-        acc: dict[Cell, WeightPolynomial] = {}
-        term = {(0, 0): self.table.ring.one}
+        """Invariant: log of the stored series equals the direct sum on the
+        whole window (and the hbar grading of each log cell is pinned to
+        2g - 2 + n by construction)."""
+        # log via the alternating series sum_p (-1)^(p+1) G^p / p, G = psi - 1;
+        # every cell of G has x-degree >= 1, so K terms reach x^K
+        ring, order = self.psi.ring, self.K + 1
+        g_series = self.psi - Series.constant(ring, "x", ring.one, order)
+        acc = Series.zero(ring, "x", order)
+        term = Series.constant(ring, "x", ring.one, order)
         for p in range(1, self.K + 1):
-            term = self._truncated_mul(term, g_cells)
-            sign = Fraction(1 if p % 2 else -1, p)
-            for key, value in term.items():
-                acc[key] = acc.get(key, self.table.ring.zero) + value.scale(sign)
-        acc = {k: v for k, v in acc.items() if not v.is_zero()}
-        # compare on the window where both sides are exact: j <= L_ext - (k-1)
-        keys = {k for k in (set(acc) | set(self.log_cells))
-                if k[1] <= self.L_ext - (k[0] - 1)}
-        for key in keys:
-            if acc.get(key, self.table.ring.zero) != self.log_cells.get(
-                    key, self.table.ring.zero):
-                return False
-        return True
+            term = term * g_series
+            acc = acc + term.scale(Fraction(1 if p % 2 else -1, p))
+        return acc == self.log_psi
 
 
 @dataclass
@@ -158,9 +137,12 @@ class QuantumCurveReport:
 
 def apply_quantum_curve(wf: WaveFunction) -> QuantumCurveReport:
     """Residual cells of Q psi for x-degree <= K - d and hbar-degree <= L-1;
-    every one must be the exact zero polynomial."""
+    every one must be the exact zero polynomial.  Needs K > d: below that
+    every checked cell has x-degree 0 and is zero whatever the table."""
     d = wf.d_max
-    s = WeightPolynomial.s(d)
+    if wf.K <= d:
+        raise ValueError(f"the quantum-curve check needs K > d (got K={wf.K}, "
+                         f"d={d}): every cell it would check is zero for any table")
     k_cap = wf.K - d
     j_cap = wf.L - 1
     residuals: dict[Cell, WeightPolynomial] = {}
@@ -170,28 +152,21 @@ def apply_quantum_curve(wf: WaveFunction) -> QuantumCurveReport:
     for m in range(0, k_cap + 1):
         for j in range(-m, j_cap + 1):
             total = wf.cell(m, j - 1).scale(m)
-            for k in range(1, d + 1):
-                if m - k < 0:
-                    continue
+            for k in range(1, min(m, d) + 1):
                 qk = WeightPolynomial.q(k, d)
-                # exp(s hbar k(k-1)/2) * xhat^k * exp(s k yhat) on psi:
-                # the cell (m-k, j') contributes through both exponentials
+                # exp(s hbar k(k-1)/2) xhat^k exp(s k yhat) takes the cell
+                # (mu, j_src) of psi, mu = m - k, to hbar^(j_src + b) with
+                # weight sum_{t+r=b} (s k mu)^t/t! (s k(k-1)/2)^r/r!, which is
+                # (s rate)^b / b! with rate = k mu + k(k-1)/2
                 mu = m - k
-                # exp(s k yhat) x^mu = sum_t (s k mu)^t hbar^t / t! x^mu
+                rate = Fraction(k * (2 * mu + k - 1), 2)
                 for j_src in range(-mu, j + 1):
                     src = wf.cell(mu, j_src)
                     if src.is_zero():
                         continue
-                    budget = j - j_src
-                    for t in range(0, budget + 1):
-                        r = budget - t
-                        # hbar^t from exp(s k yhat), hbar^r from the scalar
-                        coeff = (Fraction(k * mu, 1) ** t / factorial(t)) * (
-                            Fraction(k * (k - 1), 2) ** r / factorial(r))
-                        if coeff == 0 and (t or r):
-                            continue
-                        piece = src * (s ** (t + r)).scale(coeff)
-                        total = total - qk * piece
+                    b = j - j_src
+                    piece = src.mul_s_power(b).scale(rate ** b / factorial(b))
+                    total = total - qk * piece
             checked.append((m, j))
             if not total.is_zero():
                 residuals[(m, j)] = total
@@ -202,11 +177,8 @@ def semiclassical_check(d: int, order: int = 10) -> bool:
     """Replace operators by commuting variables and hbar by 0: the relation
     y = P(x exp(s y)) must hold identically under x = z exp(-s P(z)),
     y = P(z), as exact series in z."""
-    ring = WeightPolyRing(d)
-    s = WeightPolynomial.s(d)
-    p = p_series(ring, order)
-    x = Series.identity(ring, "z", order) * p.scale(s).scale(-1).exp()
-    arg = x * p.scale(s).exp()          # x exp(s y) with y = P(z)
+    p = p_series(WeightPolyRing(d), order)
+    arg = x_of_z_series(d, order) * p.scale(WeightPolynomial.s(d)).exp()  # x exp(s y)
     rhs = p.compose(arg)                # P(x exp(s y))
     return rhs == p.truncate(rhs.order)
 

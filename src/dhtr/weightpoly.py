@@ -267,15 +267,6 @@ class WeightPolynomial:
             total += term
         return total
 
-    def max_q_index(self) -> int:
-        best = 0
-        for key in self.terms:
-            for i in range(self.d_max - 1, -1, -1):
-                if key[i]:
-                    best = max(best, i + 1)
-                    break
-        return best
-
     def embed(self, d_max: int) -> "WeightPolynomial":
         """Re-key into a wider exponent space (d_max may only grow)."""
         if d_max < self.d_max:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dhtr import tables
 from dhtr.cli import main
 from dhtr.curve import SpectralCurve
 from dhtr.weightpoly import WeightPolynomial
@@ -62,6 +63,39 @@ def test_qc_verify(capsys):
     code, out, _ = run(capsys, "qc-verify", "--d", "1", "--K", "5", "--L", "2")
     assert code == 0
     assert "verdict: PASS" in out
+
+
+def test_qc_verify_without_checkable_cells_rejected(capsys):
+    # with K <= d every checked cell has x-degree 0 and is zero for any
+    # table: a usage error, not a PASS on no cells or on trivial ones
+    for d, K, L in [("2", "2", "0"), ("3", "3", "2")]:
+        code, out, err = run(capsys, "qc-verify", "--d", d, "--K", K, "--L", L)
+        assert code == 2 and not out
+        assert err.startswith("error: the quantum-curve check needs K > d")
+
+
+def test_closed_forms_order_below_one_rejected(capsys):
+    # order 0 would pass without checking a coefficient
+    for order in ("0", "-1"):
+        code, out, err = run(capsys, "closed-forms", "--order", order)
+        assert code == 2 and not out
+        assert err == f"error: closed-form checks need order >= 1, got {order}\n"
+
+
+def test_oracle_normalization_failure_exits_three(capsys, monkeypatch):
+    # a failed golden cross-check means the oracle could not compute a
+    # polynomial to compare: exit 3, not a usage error
+    golden = tables.load_golden
+
+    def doubled(name):
+        return [tables.GoldenRow(row.g, row.mu,
+                                 {key: 2 * v for key, v in row.coeffs.items()})
+                for row in golden(name)]
+
+    monkeypatch.setattr(tables, "load_golden", doubled)
+    code, out, err = run(capsys, "oracle", "--g", "0", "--mu", "2")
+    assert code == 3 and not out
+    assert err.startswith("error: oracle normalization failed golden cross-check")
 
 
 def test_bad_usage_exit_codes(capsys):

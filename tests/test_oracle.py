@@ -7,6 +7,7 @@ from dhtr.oracle import (
     DEGREE_CAP,
     DegreeCapError,
     FactorizationOracle,
+    OracleValidationError,
     cycle_type,
     dfs_count,
     orbit_partition,
@@ -119,7 +120,8 @@ def test_fail_closed_normalization(monkeypatch):
         "tuple_weight",
         staticmethod(lambda count, m, mu: Fraction(count)),  # drop the 1/m! prod mu
     )
-    with pytest.raises(RuntimeError, match="normalization failed"):
+    # could not compute (an ArithmeticError, exit 3), not a usage error
+    with pytest.raises(OracleValidationError, match="normalization failed"):
         oracle.compare(0, (2,))
 
 

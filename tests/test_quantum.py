@@ -7,6 +7,7 @@ from dhtr.quantum import (
     f01_from_quantum_curve,
     semiclassical_check,
 )
+from dhtr.series import TruncationError
 from dhtr.weightpoly import WeightPolynomial
 
 
@@ -39,6 +40,23 @@ def test_log_cells_graded_by_euler_characteristic(wf2):
 
 def test_log_consistency(wf2):
     assert wf2.log_matches_direct_sum()
+
+
+def test_log_check_detects_a_perturbed_cell():
+    wf = WaveFunction(DHTable(2), K=4, L=1)
+    assert wf.log_matches_direct_sum()
+    row = wf.psi.coeffs[2]                     # x^2, hbar^j stored at h^(j+2)
+    row.coeffs[2] = row.coeffs[2] + WeightPolynomial.q(1, 2)   # psi(2, 0)
+    assert not wf.log_matches_direct_sum()
+
+
+def test_cell_window(wf2):
+    # the window is k <= K = 6 and j + k <= L + K = 8
+    assert not wf2.cell(6, 2).is_zero()
+    assert wf2.cell(3, -4).is_zero()           # below the hbar floor
+    for k, j in [(6, 3), (0, 9), (7, -7)]:
+        with pytest.raises(TruncationError):
+            wf2.cell(k, j)
 
 
 def test_quantum_curve_exact_zero_residuals(wf2):
