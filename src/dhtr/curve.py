@@ -1,15 +1,15 @@
 """Numeric instantiation of the rational curve x = z exp(-s P(z)), y = P(z).
 
 Branch points are the zeros of s z P'(z) - 1; each is assumed simple and
-carries a local frame: the expansion of x at the point, the local involution
-sigma exchanging the two sheets of x, and derived data consumed by the
-residue recursion.  A curve builds its frames once, at the largest order
-requested so far; smaller orders get truncated views of that build, which
-equal a fresh build bit for bit.  The module also hosts the x-inversion at
-the origin (numeric and exact), the partition-sum coefficients of z^i = sum A_mu^i x^mu,
-the phi basis spanning the space of loop-equation solutions, and exact
-series checks of the closed forms for the (0,1) and (0,2) generating
-functions.
+carries a local frame: the local involution sigma exchanging the two sheets
+of x, its derivative, the local omega_{0,1} and the recursion kernel
+1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)).  A curve builds its
+frames once, at the largest order requested so far; smaller orders get
+truncated views of that build, which equal a fresh build bit for bit.  The
+module also hosts the x-inversion at the origin (numeric and exact), the
+partition-sum coefficients of z^i = sum A_mu^i x^mu, the phi basis spanning
+the space of loop-equation solutions, and exact series checks of the closed
+forms for the (0,1) and (0,2) generating functions.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import mpmath
 import numpy as np
 
 from .cutjoin import DHTable
-from .pruning import p_series, x_of_z_series
+from .pruning import p_series, x_of_z, x_of_z_series
 from .series import AlgebraError, ComplexRing, Poly, Series, SeriesRing
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
 __all__ = [
     "CurveSpec", "BranchPointData", "SpectralCurve", "DegenerateCurveError",
     "a_mu_coefficient", "invert_x_exact", "PhiBasis", "RationalOverW",
-    "f01_check", "f02_check", "CheckReport",
+    "f01_check", "f02_check", "CheckReport", "log_difference_quotient",
 ]
 
 
@@ -68,12 +68,14 @@ class CurveSpec:
 
 @dataclass
 class BranchPointData:
+    """Local data at the branch point a; every series is in u = z - a."""
+
     index: int
     a: object
-    x_series: Series            # x(a+u) as a series in u
     sigma: Series               # sigma(a+u) - a, linear coefficient -1
-    sigma_prime: Series
-    y_series: Series            # P(a+u)
+    sigma_prime: Series         # d sigma / du
+    omega01: Series             # P(a+u) (1/(a+u) - s P'(a+u)), multiplies du
+    kernel: Series              # 1/(omega01(u) - omega01(sigma(u)) sigma'(u)), from u^-2
 
 
 class SpectralCurve:
@@ -144,16 +146,17 @@ class SpectralCurve:
     def frames(self, order: int) -> list[BranchPointData]:
         """Local data at every branch point; series windows cover exponents
         below `order`.  Built and self-checked only for an order above all
-        earlier ones, which replaces the stored build; else truncated views."""
-        if order < 1:
-            raise ValueError(f"frame order must be at least 1, got {order}")
+        earlier ones, which replaces the stored build; else truncated views.
+        The kernel's first term, u^-2, needs order 4."""
+        if order < 4:
+            raise ValueError(f"frame order must be at least 4, got {order}")
         if order > self._frames_order:
             with mpmath.workprec(self.prec):
                 self._frames = [self._frame(i, a, order) for i, a in enumerate(self.branch_points())]
             self._frames_order = order
         cut = self._frames_order - order
         return [BranchPointData(bp.index, bp.a, *(s.truncate(s.order - cut) for s in (
-            bp.x_series, bp.sigma, bp.sigma_prime, bp.y_series))) for bp in self._frames]
+            bp.sigma, bp.sigma_prime, bp.omega01, bp.kernel))) for bp in self._frames]
 
     def _frame(self, index: int, a, order: int) -> BranchPointData:
         ring = self.ring
@@ -187,25 +190,33 @@ class SpectralCurve:
         ratio = Series(ring, "u", 0, [ring.one] + ratio.coeffs[1:], ratio.order)
         t = Series.identity(ring, "u", ratio.order + 1) * ratio.sqrt_unit()
         sigma = t.reversion().compose(-t)
+        sigma_prime = sigma.derivative()
+        self._check_involution(index, x_series, sigma, scale)
 
-        frame = BranchPointData(
-            index=index, a=a, x_series=x_series,
-            sigma=sigma, sigma_prime=sigma.derivative(), y_series=p_local,
-        )
-        self._validate_frame(frame, scale)
-        return frame
+        # omega_{0,1} = P(z) (1/z - s P'(z)) dz locally and at sigma
+        pprime = self.P.derivative().shifted_series(a, "u", order)
+        omega01 = p_local.truncate(order) * (a_plus_u.inverse() - pprime.scale(self.s))
+        omega01_sigma = omega01.compose(sigma) * sigma_prime
+        scale01 = max(abs(c) for c in omega01.coeffs)
+        dden = (omega01 - omega01_sigma).strip_leading(self.negligible(max(scale01, 1)))
+        if dden.lo != 2:
+            raise ArithmeticError(
+                f"kernel denominator vanishes to order {dden.lo} (expected "
+                f"exactly 2) at branch point {index}"
+            )
+        return BranchPointData(index, a, sigma, sigma_prime, omega01, dden.inverse())
 
-    def _validate_frame(self, frame: BranchPointData, scale) -> None:
+    def _check_involution(self, index: int, x_series: Series, sigma: Series, scale) -> None:
         # sigma o sigma = id and x o sigma = x to the available window
-        double = frame.sigma.compose(frame.sigma)
+        double = sigma.compose(sigma)
         ident = Series.identity(self.ring, "u", double.order)
         err1 = max(abs(c) for c in (double - ident).coeffs)
-        comp = frame.x_series.compose(frame.sigma) - frame.x_series
+        comp = x_series.compose(sigma) - x_series
         err2 = max(abs(c) for c in comp.coeffs)
         tol = mpmath.mpf(2) ** (-self.prec // 2) * max(scale, 1)
         if err1 > tol or err2 > tol:
             raise ArithmeticError(
-                f"involution failed self-check at branch point {frame.index}: "
+                f"involution failed self-check at branch point {index}: "
                 f"sigma o sigma residual {err1}, x o sigma residual {err2}"
             )
 
@@ -218,10 +229,7 @@ class SpectralCurve:
             raise ValueError("order must be at least 1")
         if order not in self._zx_cache:
             with mpmath.workprec(self.prec):
-                ring = self.ring
-                p = Poly(ring, [ring.zero] + self.q).to_series("x", order + 1)
-                z = Series.identity(ring, "x", order + 1)
-                xz = z * p.scale(-self.s).exp()
+                xz = x_of_z(self.P.to_series("x", order + 1), self.s)
                 self._zx_cache[order] = xz.reversion()  # already in the x variable
         return self._zx_cache[order]
 
@@ -396,16 +404,10 @@ def f02_check(d_max: int, order: int) -> CheckReport:
     inner = SeriesRing(ring, "x1", n)
     s = WeightPolynomial.s(d_max)
 
-    zx = x_of_z_series(d_max, n + 1).reversion().truncate(n)
-    zx1 = Series(ring, "x1", 0, [zx.coefficient(k) for k in range(n)], n)
+    zx1 = x_of_z_series(d_max, n + 1).reversion().truncate(n).rename("x1")
     # z(x)^a = O(x^a), so k in x = sum_k c_k z^k must run to 2*order + 1 to
     # fill the window
-    quot = _difference_quotient(inner, x_of_z_series(d_max, 2 * n), zx1, n)
-
-    # log(quot): factor out the x2-constant term (a unit inner series)
-    c0 = quot.coefficient(0)
-    log_c0 = c0.log()
-    log_quot = quot.div_scalar(c0).log() + _outer_constant(inner, log_c0, n)
+    log_quot = log_difference_quotient(x_of_z_series(d_max, 2 * n), zx1)
 
     sp1 = p_series(ring, n).compose(zx1).scale(s)          # s P(z(x1))
     sp2 = _lift_to_outer(inner, sp1, n)                    # s P(z(x2))
@@ -453,6 +455,24 @@ def _difference_quotient(inner: SeriesRing, xz: Series, zx1: Series,
             if a < n:
                 quot = quot + pows2[b].scale(pows1[a].scale(ck))
     return quot
+
+
+def log_difference_quotient(xz: Series, zx1: Series) -> Series:
+    """log((x1 - x2)/(z1 - z2)) for x = xz(z), z1 = zx1(x1) and
+    z2 = zx1(x2): a series in x2 over series in x1, both to zx1's window.
+    The x2-constant term c0 (a unit inner series) is factored out; the
+    constant of the normalized quotient is exactly 1 mathematically and is
+    clamped to 1, a no-op over exact rings that drops the ulp of division
+    noise over mpc."""
+    n = zx1.order
+    inner = SeriesRing(zx1.ring, "x1", n)
+    quot = _difference_quotient(inner, xz, zx1, n)
+    c0 = quot.coefficient(0)
+    log_c0 = c0.log()
+    normalized = quot.div_scalar(c0)
+    normalized = Series(inner, "x2", 0, [inner.one] + normalized.coeffs[1:],
+                        normalized.order)
+    return normalized.log() + _outer_constant(inner, log_c0, n)
 
 
 def _outer_constant(inner: SeriesRing, value: Series, order: int) -> Series:

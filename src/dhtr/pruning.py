@@ -21,7 +21,7 @@ from .cutjoin import DHTable, canonical_mu
 from .series import Series
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
-__all__ = ["PruningKernel", "PruningTransform", "x_of_z_series"]
+__all__ = ["PruningKernel", "PruningTransform", "x_of_z", "x_of_z_series"]
 
 
 def p_series(ring: WeightPolyRing, order: int) -> Series:
@@ -39,12 +39,14 @@ def zp_prime_series(ring: WeightPolyRing, order: int) -> Series:
     return Series.from_coeffs(ring, "z", coeffs[:order], order)
 
 
+def x_of_z(p: Series, s) -> Series:
+    """x = z exp(-s p) for the series p = P(z), over p's ring and window."""
+    return Series.identity(p.ring, p.var, p.order) * p.scale(-s).exp()
+
+
 def x_of_z_series(d_max: int, order: int) -> Series:
     """x(z) = z exp(-s P(z)) over weight polynomials, to the given order."""
-    ring = WeightPolyRing(d_max)
-    s = WeightPolynomial.s(d_max)
-    p = p_series(ring, order)
-    return (Series.identity(ring, "z", order) * p.scale(s).scale(-1).exp()).truncate(order)
+    return x_of_z(p_series(WeightPolyRing(d_max), order), WeightPolynomial.s(d_max))
 
 
 class PruningKernel:
@@ -112,18 +114,8 @@ class PruningTransform:
         key = (g, nu)
         if key in self._ph_memo:
             return self._ph_memo[key]
-        total = self.table.ring.zero
-        for mu in _boxes(nu):
-            value = self.table.dh(g, mu)
-            if value.is_zero():
-                continue
-            factor = self.table.ring.one
-            for n_i, m_i in zip(nu, mu):
-                factor = factor * self.kernel.chat(n_i, m_i)
-                if factor.is_zero():
-                    break
-            if not factor.is_zero():
-                total = total + value * factor
+        total = _box_sum(self.table.ring, nu, lambda mu: self.table.dh(g, mu),
+                         self.kernel.chat)
         self._ph_memo[key] = total
         return total
 
@@ -131,19 +123,7 @@ class PruningTransform:
         """Forward sum; inverse of ph, used for the round-trip check."""
         mu = canonical_mu(mu)
         self._check_index(g, mu)
-        total = self.table.ring.zero
-        for nu in _boxes(mu):
-            value = self.ph(g, nu)
-            if value.is_zero():
-                continue
-            factor = self.table.ring.one
-            for m_i, n_i in zip(mu, nu):
-                factor = factor * self.kernel.c(m_i, n_i)
-                if factor.is_zero():
-                    break
-            if not factor.is_zero():
-                total = total + value * factor
-        return total
+        return _box_sum(self.table.ring, mu, lambda nu: self.ph(g, nu), self.kernel.c)
 
     # ------------------------------------------------------------------
 
@@ -161,19 +141,27 @@ class PruningTransform:
         powers: dict[int, Series] = {}
         for mu_i in range(1, max(nu) + 1):
             powers[mu_i] = xz if mu_i == 1 else powers[mu_i - 1] * xz
-        total = self.table.ring.zero
-        for mu in _boxes(nu):
-            value = self.table.dh(g, mu)
-            if value.is_zero():
-                continue
-            factor = self.table.ring.one
-            for n_i, m_i in zip(nu, mu):
-                factor = factor * powers[m_i].coefficient(n_i)
-                if factor.is_zero():
-                    break
-            if not factor.is_zero():
-                total = total + value * factor
-        return total
+        return _box_sum(self.table.ring, nu, lambda mu: self.table.dh(g, mu),
+                        lambda n_i, m_i: powers[m_i].coefficient(n_i))
+
+
+def _box_sum(ring, outer: tuple[int, ...], value, weight):
+    """sum over the boxes inner of outer of value(inner) times the product
+    of weight(outer_i, inner_i), skipping zero values and zero partial
+    products."""
+    total = ring.zero
+    for inner in _boxes(outer):
+        v = value(inner)
+        if v.is_zero():
+            continue
+        factor = ring.one
+        for o_i, i_i in zip(outer, inner):
+            factor = factor * weight(o_i, i_i)
+            if factor.is_zero():
+                break
+        if not factor.is_zero():
+            total = total + v * factor
+    return total
 
 
 def _boxes(nu: tuple[int, ...]):

@@ -137,12 +137,18 @@ class QuantumCurveReport:
 
 def apply_quantum_curve(wf: WaveFunction) -> QuantumCurveReport:
     """Residual cells of Q psi for x-degree <= K - d and hbar-degree <= L-1;
-    every one must be the exact zero polynomial.  Needs K > d: below that
-    every checked cell has x-degree 0 and is zero whatever the table."""
+    every one must be the exact zero polynomial.  A cell (m, j) can be
+    nonzero only for m >= 1 and j >= 1 - m, so the check needs
+    K - d >= max(1, 2 - L): below that every checked cell is zero whatever
+    the table."""
     d = wf.d_max
     if wf.K <= d:
         raise ValueError(f"the quantum-curve check needs K > d (got K={wf.K}, "
                          f"d={d}): every cell it would check is zero for any table")
+    if wf.K - d < 2 - wf.L:
+        raise ValueError(f"the quantum-curve check at L={wf.L} needs K > d + 1 "
+                         f"(got K={wf.K}, d={d}): every cell it would check is "
+                         f"zero for any table")
     k_cap = wf.K - d
     j_cap = wf.L - 1
     residuals: dict[Cell, WeightPolynomial] = {}

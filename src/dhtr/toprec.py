@@ -22,9 +22,10 @@ from math import prod
 
 import mpmath
 
-from .curve import PhiBasis, SpectralCurve, _difference_quotient, _outer_constant
+from .curve import BranchPointData, PhiBasis, SpectralCurve, log_difference_quotient
 from .cutjoin import DHTable
-from .series import Series, SeriesRing, TruncationError
+from .pruning import x_of_z
+from .series import Series, TruncationError
 
 __all__ = ["CorrelationForm", "RecursionEngine", "VerifyRow", "VerifyReport",
            "LoopCheckReport", "PhiFitReport"]
@@ -135,104 +136,67 @@ class PhiFitReport:
         return self.residual < self.tolerance
 
 
-class _Frame:
-    """Per-branch-point working data for one truncation window."""
+def _label(index: tuple[int, int]) -> tuple[int, int]:
+    """The basis element of the pole index (j, k): dz/(z - a_j)^(k+1)."""
+    j, k = index
+    return j, k + 1
 
-    def __init__(self, engine: "RecursionEngine", bp, window: int):
-        self.engine = engine
-        self.bp = bp
-        ring = engine.ring
-        curve = engine.curve
+
+class _Basis:
+    """Basis elements at one branch point a_i over one window, memoized.
+
+    The label (j, e) stands for p_j(u)^e, where p_j(u) = 1/(a_i - a_j + u)
+    is 1/(z - a_j) at z = a_i + u, and p_i(u) = 1/u; on the sigma side it
+    stands for p_j(sigma(u))^e sigma'(u).  The pole index (j, k) is the
+    element (j, k+1) (see `_label`), and the omega_{0,2} factor paired with
+    the spectator index (i, k+1) is (k+1) times the element (i, -k), the
+    monomial u^k."""
+
+    def __init__(self, frame: BranchPointData, roots, window: int):
+        self.frame = frame
+        self.roots = roots
         self.window = window
-        a = bp.a
-        # omega_{0,1} = P(z) (1/z - s P'(z)) dz locally and at sigma
-        inv_au = Series.from_coeffs(ring, "u", [a, ring.one], window).inverse()
-        pprime = curve.P.derivative().shifted_series(a, "u", window)
-        dlogx = inv_au - pprime.scale(curve.s)
-        w1 = bp.y_series.truncate(window) * dlogx
-        w1_sigma = w1.compose(bp.sigma) * bp.sigma_prime
-        dden = (w1 - w1_sigma).strip_leading(engine.negligible_abs(w1))
-        if dden.lo != 2:
-            raise ArithmeticError(
-                f"kernel denominator vanishes to order {dden.lo} (expected "
-                f"exactly 2) at branch point {bp.index}"
-            )
-        self.w1 = w1
-        self.kden = dden.inverse()
-        self.sigma = bp.sigma
-        self.sigma_prime = bp.sigma_prime
-        self._sigma_inv = bp.sigma.inverse()
-        self._sig_pows: dict[int, Series] = {}
-        self._ev_z: dict[tuple[int, int], Series] = {}
-        self._ev_s: dict[tuple[int, int], Series] = {}
-        self._shift_inv: dict[int, Series] = {}
-        self._shift_inv_sigma: dict[int, Series] = {}
-        self._sig_prime_pows: dict[int, Series] = {}
+        self._memo: dict[tuple, Series] = {}
+        self._at_sigma: dict[int, Series] = {}
 
-    def sig_pow(self, k: int) -> Series:
-        """sigma(u)^k for any integer k."""
-        if k not in self._sig_pows:
-            if k == 0:
-                value = Series.constant(self.engine.ring, "u",
-                                        self.engine.ring.one, self.window)
+    def element(self, label: tuple[int, int], at_sigma: bool = False) -> Series:
+        key = (label, at_sigma)
+        if key not in self._memo:
+            self._memo[key] = self._build(*label, at_sigma)
+        return self._memo[key]
+
+    def _build(self, j: int, e: int, at_sigma: bool) -> Series:
+        frame = self.frame
+        ring = frame.sigma.ring
+        if at_sigma:
+            if e == 0:
+                return frame.sigma_prime
+            if j == frame.index and e < 0:
+                return frame.sigma.pow_int(-e) * frame.sigma_prime
+            return self._p_at_sigma(j).pow_int(e) * frame.sigma_prime
+        if j == frame.index:
+            coeffs = [ring.one] + [ring.zero] * (self.window + e - 1)
+            return Series(ring, "u", -e, coeffs, self.window)
+        if e == 1:
+            gap = frame.a - self.roots[j]
+            return Series.from_coeffs(ring, "u", [gap, ring.one], self.window).inverse()
+        return self.element((j, 1)).pow_int(e)
+
+    def _p_at_sigma(self, j: int) -> Series:
+        """p_j(sigma(u)); for j = i that is 1/sigma(u)."""
+        if j not in self._at_sigma:
+            if j == self.frame.index:
+                value = self.frame.sigma.inverse()
             else:
-                base = self.sigma if k > 0 else self._sigma_inv
-                value = base.pow_int(abs(k))
-            self._sig_pows[k] = value
-        return self._sig_pows[k]
+                value = self.element((j, 1)).compose(self.frame.sigma)
+            self._at_sigma[j] = value
+        return self._at_sigma[j]
 
-    def omega02_z_factor(self, k: int) -> Series:
-        """u-dependence of the two-point kernel paired with spectator index
-        (i, k+1): the monomial (k+1) u^k."""
-        ring = self.engine.ring
-        coeffs = [ring.zero] * self.window
-        coeffs[k] = self.engine.ring.from_rational(k + 1)
-        return Series(ring, "u", 0, coeffs, self.window)
-
-    def omega02_s_factor(self, k: int) -> Series:
-        """Same, evaluated on the opposite sheet: (k+1) sigma^k sigma'."""
-        if k not in self._sig_prime_pows:
-            if k == 0:
-                value = self.sigma_prime
-            else:
-                value = self.sig_pow(k) * self.sigma_prime
-            self._sig_prime_pows[k] = value
-        return self._sig_prime_pows[k].scale(k + 1)
-
-    def _shift_base(self, j: int) -> Series:
-        # 1/((a_i - a_j) + u)
-        if j not in self._shift_inv:
-            ring = self.engine.ring
-            gap = self.bp.a - self.engine.curve.branch_points()[j]
-            base = Series.from_coeffs(ring, "u", [gap, ring.one], self.window)
-            self._shift_inv[j] = base.inverse()
-        return self._shift_inv[j]
-
-    def eval_z(self, idx: tuple[int, int]) -> Series:
-        """Basis one-form dz/(z - a_j)^(k+1) at z = a_i + u (du stripped)."""
-        if idx not in self._ev_z:
-            j, k = idx
-            ring = self.engine.ring
-            if j == self.bp.index:
-                coeffs = [ring.one] + [ring.zero] * (self.window + k)
-                value = Series(ring, "u", -(k + 1), coeffs, self.window)
-            else:
-                value = self._shift_base(j).pow_int(k + 1)
-            self._ev_z[idx] = value
-        return self._ev_z[idx]
-
-    def eval_sigma(self, idx: tuple[int, int]) -> Series:
-        """Same one-form at z = a_i + sigma(u), including d(sigma)/du."""
-        if idx not in self._ev_s:
-            j, k = idx
-            if j == self.bp.index:
-                value = self.sig_pow(-(k + 1)) * self.sigma_prime
-            else:
-                if j not in self._shift_inv_sigma:
-                    self._shift_inv_sigma[j] = self._shift_base(j).compose(self.sigma)
-                value = self._shift_inv_sigma[j].pow_int(k + 1) * self.sigma_prime
-            self._ev_s[idx] = value
-        return self._ev_s[idx]
+    def omega02_cut(self) -> Series:
+        """omega_{0,2}(z, sigma(z)) at z = a_i + u, du stripped:
+        (u - sigma(u))^-2 sigma'(u)."""
+        u = Series.identity(self.frame.sigma.ring, "u", self.window)
+        return (u - self.frame.sigma).inverse().pow_int(2) * self.frame.sigma_prime
 
 
 class RecursionEngine:
@@ -249,11 +213,6 @@ class RecursionEngine:
 
     # ------------------------------------------------------------------
     # tolerances
-
-    def negligible_abs(self, reference: Series):
-        scale = max((abs(c) for c in reference.coeffs), default=mpmath.mpf(1))
-        tol = mpmath.mpf(2) ** (-self.prec // 2) * max(scale, 1)
-        return lambda c: abs(c) <= tol
 
     def trim_tol(self):
         return mpmath.mpf(2) ** (-(3 * self.prec) // 4)
@@ -282,23 +241,22 @@ class RecursionEngine:
     def _tr_step(self, g: int, n: int) -> CorrelationForm:
         window = self.window_for(g, n)
         # before recursing: a top-level form builds the frames once
-        frames = [
-            _Frame(self, bp, window) for bp in self.curve.frames(window)
-        ]
+        frames = self.curve.frames(window)
+        roots = self.curve.branch_points()
         k02_max = max(6 * g + 2 * n - 4, 2)
         out: dict[tuple, mpmath.mpc] = {}
         for frame in frames:
-            blocks = self._bracket_blocks(g, n, frame, k02_max)
+            blocks = self._bracket_blocks(g, n, _Basis(frame, roots, window), k02_max)
             for spect, series in blocks.items():
-                e = frame.kden * series
+                e = frame.kernel * series
                 if e.order < 1:
                     raise TruncationError(
                         f"local window exhausted at branch point "
-                        f"{frame.bp.index}; raise the truncation order"
+                        f"{frame.index}; raise the truncation order"
                     )
                 for k1 in range(0, -e.lo):
                     value = e.coefficient(-1 - k1)
-                    idx = ((frame.bp.index, k1),) + spect
+                    idx = ((frame.index, k1),) + spect
                     out[idx] = out.get(idx, mpmath.mpc(0)) + value
         form = CorrelationForm(g, n, out)
         self._trim(form)
@@ -312,7 +270,7 @@ class RecursionEngine:
         cutoff = scale * self.trim_tol()
         form.coeffs = {idx: c for idx, c in form.coeffs.items() if abs(c) > cutoff}
 
-    def _bracket_blocks(self, g: int, n: int, frame: _Frame, k02_max: int):
+    def _bracket_blocks(self, g: int, n: int, basis: _Basis, k02_max: int):
         """The bracketed quadratic expression as u-series grouped by the
         spectator-slot basis assignment."""
         blocks: dict[tuple, Series] = {}
@@ -323,13 +281,12 @@ class RecursionEngine:
         # cut term: omega_{g-1, n+1}(z, sigma(z), spectators)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                u = Series.identity(self.ring, "u", frame.window)
-                gap = (u - frame.sigma)
-                add((), gap.inverse().pow_int(2) * frame.sigma_prime)
+                add((), basis.omega02_cut())
             else:
                 inner = self.form(g - 1, n + 1)
                 for idx, c in inner.coeffs.items():
-                    series = frame.eval_z(idx[0]) * frame.eval_sigma(idx[1])
+                    series = (basis.element(_label(idx[0]))
+                              * basis.element(_label(idx[1]), at_sigma=True))
                     add(idx[2:], series.scale(c))
 
         # product terms over ordered stable splits
@@ -341,8 +298,8 @@ class RecursionEngine:
                     g2 = g - g1
                     if (g1 == 0 and not subset) or (g2 == 0 and not complement):
                         continue  # omega_{0,1} factors are excluded
-                    f1 = self._factor(g1, subset, frame, k02_max, at_sigma=False)
-                    f2 = self._factor(g2, complement, frame, k02_max, at_sigma=True)
+                    f1 = self._factor(g1, subset, basis, k02_max, at_sigma=False)
+                    f2 = self._factor(g2, complement, basis, k02_max, at_sigma=True)
                     for as1, s1 in f1.items():
                         for as2, s2 in f2.items():
                             assignment = dict(as1)
@@ -351,24 +308,21 @@ class RecursionEngine:
                             add(key, s1 * s2)
         return blocks
 
-    def _factor(self, g: int, slots: tuple[int, ...], frame: _Frame,
+    def _factor(self, g: int, slots: tuple[int, ...], basis: _Basis,
                 k02_max: int, at_sigma: bool):
         """One factor of the quadratic term: omega_{g, len(slots)+1} with
         the running argument at z (or sigma(z)) and the given spectator
         slots; returns {(slot, index) assignments: u-series}."""
-        out: dict[tuple, Series] = {}
         if g == 0 and len(slots) == 1:
-            j = slots[0]
-            for k in range(k02_max + 1):
-                series = (frame.omega02_s_factor(k) if at_sigma
-                          else frame.omega02_z_factor(k))
-                out[((j, (frame.bp.index, k + 1)),)] = series
-            return out
-        inner = self.form(g, len(slots) + 1)
-        evaluate = frame.eval_sigma if at_sigma else frame.eval_z
-        for idx, c in inner.coeffs.items():
-            key = tuple(zip(slots, idx[1:]))
-            series = evaluate(idx[0]).scale(c)
+            i = basis.frame.index
+            terms = [((i, -k), ((i, k + 1),), k + 1) for k in range(k02_max + 1)]
+        else:
+            inner = self.form(g, len(slots) + 1)
+            terms = [(_label(idx[0]), idx[1:], c) for idx, c in inner.coeffs.items()]
+        out: dict[tuple, Series] = {}
+        for label, spect, c in terms:
+            key = tuple(zip(slots, spect))
+            series = basis.element(label, at_sigma).scale(c)
             out[key] = out[key] + series if key in out else series
         return out
 
@@ -379,24 +333,23 @@ class RecursionEngine:
         """omega_{0,1} = y dx / x = P(z)(1/z - s P'(z)) dz expanded at the
         branch point: the returned series multiplies du."""
         with mpmath.workprec(self.prec):
-            bp = self.curve.frames(order)[bp_index]
-            return _Frame(self, bp, order).w1
+            return self.curve.frames(order)[bp_index].omega01
 
     def kernel_inverse_local(self, bp_index: int, order: int) -> Series:
         """1 / (omega_{0,1}(z) - omega_{0,1}(sigma(z))) at the branch point;
         a Laurent series starting at u^-2 (the zero is of order exactly
         two for a simple branch point)."""
         with mpmath.workprec(self.prec):
-            bp = self.curve.frames(order)[bp_index]
-            return _Frame(self, bp, order).kden
+            return self.curve.frames(order)[bp_index].kernel
 
     def omega02_local_coefficient(self, bp_index: int, order: int, k: int) -> Series:
         """u-dependence of omega_{0,2}(a_i + u, z_j) paired with the
         spectator basis element dz_j/(z_j - a_i)^(k+2): the geometric
         expansion of the Cauchy kernel gives the monomial (k+1) u^k."""
         with mpmath.workprec(self.prec):
-            bp = self.curve.frames(order)[bp_index]
-            return _Frame(self, bp, order).omega02_z_factor(k)
+            frame = self.curve.frames(order)[bp_index]
+            basis = _Basis(frame, self.curve.branch_points(), order)
+            return basis.element((bp_index, -k)).scale(k + 1)
 
     # ------------------------------------------------------------------
     # closed forms
@@ -432,15 +385,14 @@ class RecursionEngine:
         with mpmath.workprec(self.prec):
             window = self.window_for(1, 1)
             total = mpmath.mpc(0)
-            for bp in self.curve.frames(window):
-                frame = _Frame(self, bp, window)
-                u = Series.identity(self.ring, "u", window)
-                bracket = (u - frame.sigma).inverse().pow_int(2) * frame.sigma_prime
-                gap = z1 - bp.a
+            roots = self.curve.branch_points()
+            for frame in self.curve.frames(window):
+                bracket = _Basis(frame, roots, window).omega02_cut()
+                gap = z1 - frame.a
                 geo = Series.from_coeffs(
                     self.ring, "u", [gap, -self.ring.one], window
                 ).inverse()
-                total += (geo * frame.kden * bracket).residue()
+                total += (geo * frame.kernel * bracket).residue()
             return total
 
     # ------------------------------------------------------------------
@@ -510,20 +462,9 @@ class RecursionEngine:
         with mpmath.workprec(self.prec):
             ring = self.ring
             n = mu_max + 1
-            inner = SeriesRing(ring, "x1", n)
-            zx = self.curve.invert_x_numeric(n)
-            zx1 = Series(ring, "x1", 0, [zx.coefficient(k) for k in range(n)], n)
-            p = self.curve.P.to_series("x", 2 * n).rename("z")
-            z = Series.identity(ring, "z", 2 * n)
-            xz = z * p.scale(-self.curve.s).exp()
-            quot = _difference_quotient(inner, xz, zx1, n)
-            c0 = quot.coefficient(0)
-            log_c0 = c0.log()
-            normalized = quot.div_scalar(c0)
-            # outer constant is exactly 1 mathematically; clamp the ulp
-            normalized = Series(inner, "x2", 0, [inner.one] + normalized.coeffs[1:],
-                                normalized.order)
-            neg_log = -(normalized.log() + _outer_constant(inner, log_c0, n))
+            zx1 = self.curve.invert_x_numeric(n).truncate(n).rename("x1")
+            xz = x_of_z(self.curve.P.to_series("z", 2 * n), self.curve.s)
+            neg_log = -log_difference_quotient(xz, zx1)
 
             rows = []
             for mu2 in range(1, mu_max + 1):
@@ -664,7 +605,7 @@ class RecursionEngine:
         return {
             "precision_drift": drift_prec,
             "truncation_drift": drift_trunc,
-            "precision_tol": mpmath.mpf(10) ** (-self.prec // 4),
+            "precision_tol": self.default_tolerance(),
         }
 
 

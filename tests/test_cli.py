@@ -74,6 +74,19 @@ def test_qc_verify_without_checkable_cells_rejected(capsys):
         assert err.startswith("error: the quantum-curve check needs K > d")
 
 
+def test_qc_verify_at_one_above_d_without_hbar_rejected(capsys):
+    # K = d + 1 and L = 0 leave the single cell (1, -1), zero for any table
+    code, out, err = run(capsys, "qc-verify", "--d", "2", "--K", "3", "--L", "0")
+    assert code == 2 and not out
+    assert err.startswith("error: the quantum-curve check at L=0 needs K > d + 1")
+
+
+def test_qc_verify_at_one_above_d_with_hbar_runs(capsys):
+    code, out, _ = run(capsys, "qc-verify", "--d", "2", "--K", "3", "--L", "1")
+    assert code == 0
+    assert "cells_checked: 3" in out and "verdict: PASS" in out
+
+
 def test_closed_forms_order_below_one_rejected(capsys):
     # order 0 would pass without checking a coefficient
     for order in ("0", "-1"):

@@ -89,7 +89,7 @@ def test_frames_views_match_fresh_build():
     fresh = curve(2, [1, 1], Fraction(1, 10), prec=256).frames(12)
     for view, ref in zip(wide.frames(12), fresh, strict=True):
         assert view.a._mpc_ == ref.a._mpc_
-        for name in ("x_series", "sigma", "sigma_prime", "y_series"):
+        for name in ("sigma", "sigma_prime", "omega01", "kernel"):
             assert _bits(getattr(view, name)) == _bits(getattr(ref, name)), name
 
 
@@ -108,8 +108,9 @@ def test_frames_built_once_per_largest_order(monkeypatch):
     assert built == [10, 10]           # one build, one frame per branch point
     c.frames(12)
     assert built == [10, 10, 12, 12]   # a larger order replaces the build
-    with pytest.raises(ValueError, match="at least 1"):
-        c.frames(0)
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="at least 4"):
+            c.frames(order)
 
 
 def test_x_inversion_numeric_tree_function():

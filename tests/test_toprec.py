@@ -245,6 +245,19 @@ def test_kernel_denominator_double_zero(engine):
     assert kden.lo == -2
 
 
+def test_kernel_view_matches_fresh_build():
+    # a kernel cut from a frame build at order 28 keeps every bit of a
+    # fresh build at 12
+    spec = CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256)
+    wide = RecursionEngine(SpectralCurve(spec))
+    wide.curve.frames(28)
+    fresh = RecursionEngine(SpectralCurve(spec))
+    for i in range(2):
+        view, ref = wide.kernel_inverse_local(i, 12), fresh.kernel_inverse_local(i, 12)
+        assert (view.lo, view.order) == (ref.lo, ref.order)
+        assert [c._mpc_ for c in view.coeffs] == [c._mpc_ for c in ref.coeffs]
+
+
 def test_omega02_local_expansion(engine):
     # Cauchy kernel geometric expansion: (k+1) u^k, analytic in u, and a
     # double pole carries no residue
