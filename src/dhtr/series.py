@@ -431,11 +431,14 @@ class Series:
     # calculus
 
     def derivative(self) -> "Series":
-        coeffs = []
-        for k, c in enumerate(self.coeffs):
-            e = self.lo + k
-            coeffs.append(c * self.ring.from_rational(e))
-        return Series(self.ring, self.var, self.lo - 1, coeffs, self.order - 1)
+        """Termwise derivative.  A power series (lo = 0) keeps lo = 0: the
+        constant term's image at exponent -1 is an exact zero and is not
+        stored."""
+        lo, coeffs = self.lo, self.coeffs
+        if lo == 0 and coeffs:
+            lo, coeffs = 1, coeffs[1:]
+        out = [c * self.ring.from_rational(lo + k) for k, c in enumerate(coeffs)]
+        return Series(self.ring, self.var, lo - 1, out, self.order - 1)
 
     def antiderivative(self) -> "Series":
         """Termwise integral with zero constant; requires a vanishing
@@ -506,7 +509,16 @@ class Series:
         head is stripped so that each product gains the order, and the
         window stays at inner.order, as the unstripped product gives.  Kept
         coefficients see the same products in the same order as at full
-        width.  A Laurent outer (lo < 0) keeps the full width."""
+        width.  A Laurent outer (lo < 0) keeps the full width.
+
+        Each outer coefficient c is added in place at exponent 0 only.  A
+        full-width add of a constant series would leave every other
+        coefficient as it is: each is a fresh product coefficient r, and
+        ring.zero + r equals r (over mpc it is already rounded at the
+        working precision).  After a product by the stripped step the
+        accumulator starts at exponent 1 or above; c then enters as
+        ring.zero + c, which rounds or cuts it as that add does, with
+        zeros up to the old lo."""
         if inner.lo < 1 and any(not inner.ring.is_zero(c) for c in inner.coeffs[: 1 - inner.lo]):
             raise AlgebraError("composition requires inner valuation >= 1")
         if self.ring != inner.ring:
@@ -518,12 +530,18 @@ class Series:
         if truncating and inner.lo < 1:
             step = inner.strip_leading(inner.ring.is_zero)
             top = min(top, inner.order)
-        result = Series.zero(inner.ring, inner.var, inner.order)
+        ring = inner.ring
+        result = Series.zero(ring, inner.var, inner.order)
         for k in range(len(self.coeffs) - 1, -1, -1):
             result = result * step
             c = self.coeffs[k]
-            if not self.ring.is_zero(c):
-                result = result + Series.constant(inner.ring, inner.var, c, result.order)
+            if not self.ring.is_zero(c) and result.order > 0:
+                lo = result.lo
+                if lo > 0:
+                    head = [ring.zero + c] + [ring.zero] * (lo - 1)
+                    result = Series(ring, inner.var, 0, head + result.coeffs, result.order)
+                else:
+                    result.coeffs[-lo] += c
             if truncating and result.order > top - k:
                 result = result.truncate(top - k)
         if self.lo:

@@ -224,7 +224,19 @@ class RecursionEngine:
     # the recursion
 
     def window_for(self, g: int, n: int) -> int:
-        return 2 * (6 * g + 2 * n - 4) + 8 + self.extra_order
+        """The local window 2p + 2 (+ extra_order) of omega_{g,n}, where
+        p = 6g + 2n - 4 is its largest pole order at a branch point.
+
+        A frame built at order N has the kernel from u^-2 with order N - 5
+        and sigma' from u^0 with order N - 1.  The bracket's poles have
+        order at most p - 2, so its series reach order N - 1 - (p - 2), and
+        kernel * bracket has order N - p - 3; _tr_step needs order >= 1,
+        that is N >= p + 4.  (0,3) has p = 2 and every form but (1,1)
+        recurses through it, so 2p + c first passes at c = 2 for all of
+        them; (1,1) passes from 2p.  A smaller window raises
+        TruncationError; wider ones (checked up to 8 more orders) give
+        the same bits."""
+        return 2 * (6 * g + 2 * n - 4) + 2 + self.extra_order
 
     def form(self, g: int, n: int) -> CorrelationForm:
         """omega_{g,n} for 2g - 2 + n > 0 in the pole basis."""

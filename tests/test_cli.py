@@ -170,7 +170,7 @@ def test_negative_extra_order_rejected(capsys):
 
 
 def test_window_below_one_rejected(capsys):
-    # 2(6g+2n-4)+8 = 0 at (g, n) = (-3, 9): a usage error, not a
+    # 2(6g+2n-4)+2 = -6 at (g, n) = (-3, 9): a usage error, not a
     # truncation error at a negative order; the negative genus is caught
     # before the frame order check (tested in test_curve) is reached
     code, _, err = run(capsys, "loop-check", "--g", "-3", "--n", "9")

@@ -93,6 +93,16 @@ def test_frames_views_match_fresh_build():
             assert _bits(getattr(view, name)) == _bits(getattr(ref, name)), name
 
 
+def test_sigma_prime_starts_at_exponent_zero():
+    # sigma is a power series, so its derivative carries no zero head
+    for d, q in [(1, [1]), (2, [1, 1]), (3, [1, 1, 1])]:
+        c = curve(d, q, Fraction(1, 10))
+        for order in (6, 12):
+            for bp in c.frames(order):
+                assert (bp.sigma.lo, bp.sigma.order) == (0, order), (d, order)
+                assert (bp.sigma_prime.lo, bp.sigma_prime.order) == (0, order - 1), (d, order)
+
+
 def test_frames_built_once_per_largest_order(monkeypatch):
     c = curve(2, [1, 1], Fraction(1, 10))
     built = []

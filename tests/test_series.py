@@ -228,6 +228,22 @@ def test_antiderivative_requires_zero_residue():
     assert h.derivative().coefficient(-4) == 3
 
 
+def test_derivative_windows():
+    # a power series drops the exact zero its constant term maps to
+    d = qseries([3, 2, 5]).derivative()
+    assert (d.lo, d.order, d.coeffs) == (0, 2, [2, 10])
+    # a Laurent series, or one starting above exponent 0, moves lo down one
+    d = qseries([3, 0, 2], lo=-4).derivative()
+    assert (d.lo, d.order, d.coeffs) == (-5, -2, [-12, 0, -4])
+    d = qseries([1, 1], lo=2).derivative()
+    assert (d.lo, d.order, d.coeffs) == (1, 3, [2, 3])
+    # narrow windows stay valid: a lone constant, and no coefficient at all
+    d = qseries([7]).derivative()
+    assert (d.lo, d.order, d.coeffs) == (0, 0, [])
+    d = Series.zero(QQ, "z", 0).derivative()
+    assert (d.lo, d.order, d.coeffs) == (-1, -1, [])
+
+
 # ----------------------------------------------------------------------
 # composition, numeric ring, nesting
 
@@ -277,6 +293,9 @@ fractions_ = st.fractions(min_value=-5, max_value=5, max_denominator=4)
        st.lists(fractions_, min_size=1, max_size=3))
 # outer with a zero u^1 coefficient, as x(a+u) has at a branch point
 @example([1, 0, 1, 1, 1], 0, 1, True, [1, 2, 3], [1], [1])
+# outer constant term added to an accumulator starting at exponent 2
+@example([Fraction(-3, 2), 0, 2, 1], 0, 2, True, [1, -1], [2], [1])
+@example([Fraction(-3, 2), 0, 2, 1], 0, 2, False, [1, -1], [2], [1])
 def test_compose_matches_power_sum(f_coeffs, f_lo, val, zero_head, g_tail,
                                    f_extra, g_extra):
     # inner of valuation `val`, stored with or without its zero head; the
@@ -293,6 +312,34 @@ def test_compose_matches_power_sum(f_coeffs, f_lo, val, zero_head, g_tail,
                         [Fraction(0)] * val + g_tail + g_extra)
     for e in range(h.order):
         assert h.coefficient(e) == ref.get(e, 0), e
+
+
+@pytest.mark.parametrize("zero_head", [True, False])
+def test_compose_nested_ring_matches_power_sum(zero_head):
+    # coefficients are series in t; the outer constant term is stored
+    # wider than the ring's window and must come out cut to it, as a sum
+    # through Series.__add__ gives
+    ring = SeriesRing(QQ, "t", 3)
+
+    def t_series(values, order=3):
+        return Series.from_coeffs(QQ, "t", values, order)
+
+    f = Series(ring, "z", 0, [t_series([2, 1, 0, 5], order=4), t_series([]),
+                              t_series([1, -1]), t_series([0, 3])], 4)
+    tail = [t_series([1, 2]), t_series([-1]), t_series([0, 0, 1])]
+    g_lo = 0 if zero_head else 1
+    g = Series(ring, "z", g_lo, [ring.zero] * (1 - g_lo) + tail, 4)
+    h = f.compose(g)
+    ref = Series.zero(ring, "z", g.order)
+    power = Series.constant(ring, "z", ring.one, g.order)
+    for c in f.coeffs:
+        ref = ref + power.scale(c)
+        power = power * g
+    assert (h.lo, h.order) == (0, 4)
+    for e in range(h.order):
+        got, want = h.coefficient(e), ref.coefficient(e)
+        assert (got.lo, got.order) == (want.lo, want.order) == (0, 3), e
+        assert got == want, e
 
 
 def test_numeric_ring_against_exact():

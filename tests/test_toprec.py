@@ -5,7 +5,7 @@ import pytest
 
 from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact
 from dhtr.cutjoin import DHTable
-from dhtr.series import Series, SeriesRing
+from dhtr.series import Series, SeriesRing, TruncationError
 from dhtr.toprec import RecursionEngine
 from dhtr.weightpoly import WeightPolynomial
 
@@ -214,7 +214,7 @@ def test_no_simple_poles(engine):
 
 
 def test_form_bits_independent_of_request_order():
-    # form(2, 1) first builds the frames once at window 28 and serves the
+    # form(2, 1) first builds the frames once at window 22 and serves the
     # lower forms truncated views; the upward order builds at each window
     spec = CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256)
     top_first = RecursionEngine(SpectralCurve(spec))
@@ -226,6 +226,31 @@ def test_form_bits_independent_of_request_order():
         a, b = top_first.form(g, n).coeffs, upward.form(g, n).coeffs
         assert a.keys() == b.keys(), (g, n)
         assert all(a[idx]._mpc_ == b[idx]._mpc_ for idx in a), (g, n)
+
+
+@pytest.mark.parametrize("d,q", [
+    (2, [1, 1]),
+    (3, [Fraction(11, 3), Fraction(2, 3), Fraction(-1, 9)]),
+])
+def test_default_window_is_tight_and_exact(d, q):
+    # three more orders change no bit; one order less trips the truncation
+    # guard at (0,3), which (0,4), (1,2) and (2,1) rest on, while (1,1)
+    # alone still fits
+    spec = CurveSpec.make(d, q, Fraction(1, 10), precision=256)
+    default = RecursionEngine(SpectralCurve(spec))
+    wider = RecursionEngine(SpectralCurve(spec), extra_order=3)
+    short = RecursionEngine(SpectralCurve(spec))
+    short.window_for = lambda g, n: RecursionEngine.window_for(short, g, n) - 1
+
+    def bits(form):
+        return {idx: c._mpc_ for idx, c in form.coeffs.items()}, form.asymmetry
+
+    for g, n in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]:
+        assert bits(default.form(g, n)) == bits(wider.form(g, n)), (g, n)
+    for g, n in [(0, 3), (0, 4), (1, 2), (2, 1)]:
+        with pytest.raises(TruncationError):
+            short.form(g, n)
+    assert bits(short.form(1, 1)) == bits(default.form(1, 1))
 
 
 def test_omega01_local_linear_curve():
