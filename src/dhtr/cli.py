@@ -77,7 +77,7 @@ def _add_curve_flags(parser, default_q="1,1", default_d=2):
                         help="working precision in bits")
     parser.add_argument("--order", type=int, default=0,
                         help="extra truncation orders on top of the default "
-                             "local window 2(6g+2n-4)+2")
+                             "local window (6g+2n-4)+4")
 
 
 def _emit_report(payload: dict, fmt: str) -> None:

@@ -3,7 +3,9 @@
 One engine serves three coefficient rings: exact rationals, weight
 polynomials, and high-precision complex numbers.  The same reversion, exp,
 and residue code therefore runs both for exact identity checks and for the
-numeric recursion on the spectral curve.
+numeric recursion on the spectral curve.  A ring element times a rational
+is `ring.mul_rational`: weight polynomials and nested series scale their
+coefficients rather than multiply by a constant.
 
 A series carries an explicit window [lo, order): coefficients for exponents
 below lo are exactly zero, coefficients at or above `order` are unknown.
@@ -55,6 +57,9 @@ class RationalRing:
 
     def from_rational(self, value):
         return Fraction(value)
+
+    def mul_rational(self, x, value):
+        return x * Fraction(value)
 
     def is_zero(self, x) -> bool:
         return x == 0
@@ -133,6 +138,9 @@ class ComplexRing:
         value = Fraction(value)
         return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
 
+    def mul_rational(self, x, value):
+        return x * self.from_rational(value)
+
     def is_zero(self, x) -> bool:
         return not x
 
@@ -207,6 +215,9 @@ class SeriesRing:
 
     def from_rational(self, value):
         return Series.constant(self.inner, self.var, self.inner.from_rational(value), self.order)
+
+    def mul_rational(self, x, value):
+        return x.scale(value)
 
     def is_zero(self, x) -> bool:
         return all(self.inner.is_zero(c) for c in x.coeffs)
@@ -379,8 +390,11 @@ class Series:
 
     def scale(self, value) -> "Series":
         if isinstance(value, (int, Fraction)):
-            value = self.ring.from_rational(value)
-        return Series(self.ring, self.var, self.lo, [c * value for c in self.coeffs], self.order)
+            mul = self.ring.mul_rational
+            coeffs = [mul(c, value) for c in self.coeffs]
+        else:
+            coeffs = [c * value for c in self.coeffs]
+        return Series(self.ring, self.var, self.lo, coeffs, self.order)
 
     def div_scalar(self, value) -> "Series":
         if isinstance(value, (int, Fraction)):
@@ -437,7 +451,7 @@ class Series:
         lo, coeffs = self.lo, self.coeffs
         if lo == 0 and coeffs:
             lo, coeffs = 1, coeffs[1:]
-        out = [c * self.ring.from_rational(lo + k) for k, c in enumerate(coeffs)]
+        out = [self.ring.mul_rational(c, lo + k) for k, c in enumerate(coeffs)]
         return Series(self.ring, self.var, lo - 1, out, self.order - 1)
 
     def antiderivative(self) -> "Series":
@@ -451,7 +465,7 @@ class Series:
                     raise AlgebraError("cannot integrate a series with nonzero residue")
                 coeffs.append(self.ring.zero)
             else:
-                coeffs.append(c * self.ring.from_rational(Fraction(1, e + 1)))
+                coeffs.append(self.ring.mul_rational(c, Fraction(1, e + 1)))
         return Series(self.ring, self.var, self.lo + 1, coeffs, self.order + 1)
 
     def exp(self) -> "Series":
@@ -463,6 +477,7 @@ class Series:
         n = self.order
         if n <= 0:
             return Series.zero(self.ring, self.var, n)
+        mul = self.ring.mul_rational
         f = [self.coefficient(k) if k < n else self.ring.zero for k in range(n)]
         g = [self.ring.zero] * n
         g[0] = self.ring.one
@@ -470,8 +485,8 @@ class Series:
             acc = self.ring.zero
             for k in range(1, m + 1):
                 if not self.ring.is_zero(f[k]):
-                    acc = acc + (f[k] * g[m - k]) * self.ring.from_rational(k)
-            g[m] = acc * self.ring.from_rational(Fraction(1, m))
+                    acc = acc + mul(f[k] * g[m - k], k)
+            g[m] = mul(acc, Fraction(1, m))
         return Series(self.ring, self.var, 0, g, n)
 
     def log(self) -> "Series":
@@ -482,14 +497,15 @@ class Series:
         if not self.ring.is_zero(c0 - self.ring.one):
             raise AlgebraError("log requires constant term 1")
         n = self.order
+        mul = self.ring.mul_rational
         f = [self.coefficient(k) for k in range(n)]
         h = [self.ring.zero] * n
         for m in range(1, n):
             acc = self.ring.zero
             for k in range(1, m):
                 if not self.ring.is_zero(h[k]):
-                    acc = acc + (h[k] * f[m - k]) * self.ring.from_rational(k)
-            h[m] = f[m] - acc * self.ring.from_rational(Fraction(1, m))
+                    acc = acc + mul(h[k] * f[m - k], k)
+            h[m] = f[m] - mul(acc, Fraction(1, m))
         return Series(self.ring, self.var, 0, h, n)
 
     def sqrt_unit(self) -> "Series":
@@ -616,14 +632,14 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         if isinstance(value, (int, Fraction)):
-            value = self.ring.from_rational(value)
+            return Poly(self.ring, [self.ring.mul_rational(c, value) for c in self.coeffs])
         return Poly(self.ring, [c * value for c in self.coeffs])
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:
             return Poly(self.ring, [self.ring.zero])
         return Poly(self.ring, [
-            self.coeffs[k] * self.ring.from_rational(k) for k in range(1, len(self.coeffs))
+            self.ring.mul_rational(self.coeffs[k], k) for k in range(1, len(self.coeffs))
         ])
 
     def __call__(self, x):

@@ -224,19 +224,18 @@ class RecursionEngine:
     # the recursion
 
     def window_for(self, g: int, n: int) -> int:
-        """The local window 2p + 2 (+ extra_order) of omega_{g,n}, where
+        """The local window p + 4 (+ extra_order) of omega_{g,n}, where
         p = 6g + 2n - 4 is its largest pole order at a branch point.
 
         A frame built at order N has the kernel from u^-2 with order N - 5
         and sigma' from u^0 with order N - 1.  The bracket's poles have
         order at most p - 2, so its series reach order N - 1 - (p - 2), and
         kernel * bracket has order N - p - 3; _tr_step needs order >= 1,
-        that is N >= p + 4.  (0,3) has p = 2 and every form but (1,1)
-        recurses through it, so 2p + c first passes at c = 2 for all of
-        them; (1,1) passes from 2p.  A smaller window raises
-        TruncationError; wider ones (checked up to 8 more orders) give
-        the same bits."""
-        return 2 * (6 * g + 2 * n - 4) + 2 + self.extra_order
+        that is N >= p + 4.  The lower forms in the bracket come from their
+        own windows, and their bits do not depend on the window.  A smaller
+        window raises TruncationError; wider ones (checked up to 8 more
+        orders) give the same bits."""
+        return (6 * g + 2 * n - 4) + 4 + self.extra_order
 
     def form(self, g: int, n: int) -> CorrelationForm:
         """omega_{g,n} for 2g - 2 + n > 0 in the pole basis."""
@@ -327,7 +326,8 @@ class RecursionEngine:
         slots; returns {(slot, index) assignments: u-series}."""
         if g == 0 and len(slots) == 1:
             i = basis.frame.index
-            terms = [((i, -k), ((i, k + 1),), k + 1) for k in range(k02_max + 1)]
+            terms = [((i, -k), ((i, k + 1),), self.ring.from_rational(k + 1))
+                     for k in range(k02_max + 1)]
         else:
             inner = self.form(g, len(slots) + 1)
             terms = [(_label(idx[0]), idx[1:], c) for idx, c in inner.coeffs.items()]
@@ -423,15 +423,26 @@ class RecursionEngine:
                 shifted = zx - Series.constant(self.ring, "x", roots[i], zx.order)
                 b = zprime * shifted.inverse().pow_int(k + 1)
                 vectors[(i, k)] = [b.coefficient(mu - 1) for mu in range(1, mu_max + 1)]
+            # columns[j]: slot j's vector for every coefficient, in order;
+            # partial[j]: every c times its first j slot factors, for the
+            # current mu[:j], so a prefix product is formed once and each
+            # term keeps the chain c * v_1 * ... * v_n of the direct loop
+            columns = [[vectors[idx[j]] for idx in form.coeffs] for j in range(form.n)]
+            partial = [list(form.coeffs.values())]
+            previous = (0,) * form.n
             predictions: dict[tuple[int, ...], mpmath.mpc] = {}
             for mu in product(range(1, mu_max + 1), repeat=form.n):
+                changed = next(j for j, (a, b) in enumerate(zip(mu, previous)) if a != b)
+                del partial[changed + 1:]
+                for j in range(changed, form.n - 1):
+                    partial.append([term * vec[mu[j] - 1]
+                                    for term, vec in zip(partial[j], columns[j])])
+                last = mu[-1] - 1
                 total = mpmath.mpc(0)
-                for idx, c in form.coeffs.items():
-                    term = c
-                    for mu_j, idx_j in zip(mu, idx):
-                        term = term * vectors[idx_j][mu_j - 1]
-                    total += term
+                for term, vec in zip(partial[-1], columns[-1]):
+                    total += term * vec[last]
                 predictions[mu] = total / prod(mu)
+                previous = mu
             return predictions
 
     def verify_conjecture(self, g: int, n: int, mu_max: int,

@@ -26,14 +26,16 @@ __all__ = [
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational. Floats are rejected."""
     text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise ValueError(f"expected exact rational 'p/q', got {text!r}")
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if not den:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        if "." in text or "e" in text.lower():
+            raise ValueError
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"expected exact rational 'p/q', got {text!r}") from None
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -350,6 +352,9 @@ class WeightPolyRing:
 
     def from_rational(self, value: Fraction | int) -> WeightPolynomial:
         return WeightPolynomial.rational(value, self.d_max)
+
+    def mul_rational(self, x: WeightPolynomial, value: Fraction | int) -> WeightPolynomial:
+        return x.scale(value)
 
     def is_zero(self, x: WeightPolynomial) -> bool:
         return x.is_zero()

@@ -155,6 +155,13 @@ def test_zero_denominator_is_a_usage_error(capsys):
     assert err.startswith("error:") and "zero denominator" in err
 
 
+def test_non_numeric_rational_is_a_usage_error(capsys):
+    for text in ("abc", "1/x"):
+        code, _, err = run(capsys, "tr-verify", "--g", "0", "--n", "3", "--s", text)
+        assert code == 2
+        assert err.strip() == f"error: expected exact rational 'p/q', got {text!r}"
+
+
 def test_non_integer_mu_prints_error(capsys):
     code, _, err = run(capsys, "dh", "--g", "0", "--mu", "a")
     assert code == 2
@@ -170,8 +177,8 @@ def test_negative_extra_order_rejected(capsys):
 
 
 def test_window_below_one_rejected(capsys):
-    # 2(6g+2n-4)+2 = -6 at (g, n) = (-3, 9): a usage error, not a
-    # truncation error at a negative order; the negative genus is caught
+    # (6g+2n-4)+4 = 0 at (g, n) = (-3, 9): a usage error, not a
+    # truncation error at an empty window; the negative genus is caught
     # before the frame order check (tested in test_curve) is reached
     code, _, err = run(capsys, "loop-check", "--g", "-3", "--n", "9")
     assert code == 2

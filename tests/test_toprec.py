@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import mpmath
 import pytest
@@ -200,6 +202,41 @@ def test_conjecture_instances_and_stability(engine):
     assert stab["truncation_drift"] < stab["precision_tol"]
 
 
+def test_reach_at_euler_characteristic_four(engine):
+    # 2g - 2 + n = 4 on the acceptance curve
+    for (g, n), rows in [((2, 2), 9), ((3, 1), 3)]:
+        report = engine.verify_conjecture(g, n, mu_max=3)
+        assert len(report.rows) == rows, (g, n)
+        assert report.ok, (g, n, report.max_residual)
+
+
+def test_origin_expansion_matches_direct_loop(engine):
+    # expand_at_origin forms each mu-prefix product once; every prediction
+    # keeps the bits of the direct loop over (mu, coefficient, slot)
+    curve = engine.curve
+    for g, n in [(0, 4), (1, 2), (2, 1)]:
+        form = engine.form(g, n)
+        predicted = engine.expand_at_origin(form, 4)
+        with mpmath.workprec(engine.prec):
+            zx = curve.invert_x_numeric(5)
+            zprime = zx.derivative().strip_leading(engine.ring.is_zero)
+            roots = curve.branch_points()
+            vectors = {}
+            for i, k in {idx_j for idx in form.coeffs for idx_j in idx}:
+                shifted = zx - Series.constant(engine.ring, "x", roots[i], zx.order)
+                b = zprime * shifted.inverse().pow_int(k + 1)
+                vectors[(i, k)] = [b.coefficient(mu - 1) for mu in range(1, 5)]
+            assert len(predicted) == 4 ** n
+            for mu in product(range(1, 5), repeat=n):
+                total = mpmath.mpc(0)
+                for idx, c in form.coeffs.items():
+                    term = c
+                    for mu_j, idx_j in zip(mu, idx):
+                        term = term * vectors[idx_j][mu_j - 1]
+                    total += term
+                assert predicted[mu]._mpc_ == (total / prod(mu))._mpc_, (g, n, mu)
+
+
 def test_symmetry_of_forms(engine):
     for (g, n) in [(0, 3), (0, 4), (1, 2)]:
         assert engine.form(g, n).asymmetry < 1e-60, (g, n)
@@ -214,7 +251,7 @@ def test_no_simple_poles(engine):
 
 
 def test_form_bits_independent_of_request_order():
-    # form(2, 1) first builds the frames once at window 22 and serves the
+    # form(2, 1) first builds the frames once at window 14 and serves the
     # lower forms truncated views; the upward order builds at each window
     spec = CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256)
     top_first = RecursionEngine(SpectralCurve(spec))
@@ -233,24 +270,26 @@ def test_form_bits_independent_of_request_order():
     (3, [Fraction(11, 3), Fraction(2, 3), Fraction(-1, 9)]),
 ])
 def test_default_window_is_tight_and_exact(d, q):
-    # three more orders change no bit; one order less trips the truncation
-    # guard at (0,3), which (0,4), (1,2) and (2,1) rest on, while (1,1)
-    # alone still fits
+    # 3 or 8 more orders change no bit; one order less on a form's own
+    # step, with its lower forms from their default windows, trips the
+    # truncation guard for every form
     spec = CurveSpec.make(d, q, Fraction(1, 10), precision=256)
     default = RecursionEngine(SpectralCurve(spec))
-    wider = RecursionEngine(SpectralCurve(spec), extra_order=3)
-    short = RecursionEngine(SpectralCurve(spec))
-    short.window_for = lambda g, n: RecursionEngine.window_for(short, g, n) - 1
+    forms = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
 
     def bits(form):
         return {idx: c._mpc_ for idx, c in form.coeffs.items()}, form.asymmetry
 
-    for g, n in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]:
-        assert bits(default.form(g, n)) == bits(wider.form(g, n)), (g, n)
-    for g, n in [(0, 3), (0, 4), (1, 2), (2, 1)]:
+    for extra in (3, 8):
+        wider = RecursionEngine(SpectralCurve(spec), extra_order=extra)
+        for g, n in forms:
+            assert bits(default.form(g, n)) == bits(wider.form(g, n)), (extra, g, n)
+    for g, n in forms:
+        short = RecursionEngine(default.curve)
+        short._forms = {key: f for key, f in default._forms.items() if key != (g, n)}
+        short.window_for = lambda *gn, e=short: RecursionEngine.window_for(e, *gn) - 1
         with pytest.raises(TruncationError):
             short.form(g, n)
-    assert bits(short.form(1, 1)) == bits(default.form(1, 1))
 
 
 def test_omega01_local_linear_curve():
