@@ -11,11 +11,13 @@ qc-verify  exact quantum-curve residual check
 loop-check sigma-symmetrization diagnostics for a correlation form
 phi-fit    decompose one form in the centered phi basis
 
-Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error, 3 could
+Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error (a
+ValueError: malformed input, or input out of range or past a cap), 3 could
 not compute (an ArithmeticError such as a non-finite series coefficient, a
 branch point that does not polish, a division by zero, or an oracle that
-fails its golden normalization check).  A computation that breaks down is
-never reported as a failed verdict.
+fails its golden normalization check; or a RuntimeError such as a
+RecursionError).  A computation that breaks down is never reported as a
+failed verdict.
 """
 
 from __future__ import annotations
@@ -225,6 +227,7 @@ def cmd_qc_verify(args) -> int:
         "d": args.d, "K": args.K, "L": args.L,
         "cells_checked": len(report.checked_cells),
         "nonzero_residuals": len(report.residuals),
+        **({"off_grading_cells": len(report.off_grading)} if report.off_grading else {}),
         "log_consistency": "PASS" if log_ok else "FAIL",
         "semiclassical": "PASS" if semi_ok else "FAIL",
         "verdict": "PASS" if (report.ok and log_ok and semi_ok) else "FAIL",
@@ -373,10 +376,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -47,8 +47,8 @@ from .weightpoly import WeightPolynomial, WeightPolyRing
 __all__ = ["DHTable", "ResourceLimitError", "canonical_mu", "splits"]
 
 
-class ResourceLimitError(RuntimeError):
-    pass
+class ResourceLimitError(ValueError):
+    """A key past the table's configured caps: a usage error."""
 
 
 def canonical_mu(mu) -> tuple[int, ...]:

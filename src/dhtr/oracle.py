@@ -47,8 +47,8 @@ __all__ = ["FactorizationOracle", "OracleReport", "DegreeCapError",
 DEGREE_CAP = 16
 
 
-class DegreeCapError(RuntimeError):
-    pass
+class DegreeCapError(ValueError):
+    """|mu| above DEGREE_CAP: the input is out of range (a usage error)."""
 
 
 class OracleValidationError(ArithmeticError):

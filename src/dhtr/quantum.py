@@ -10,49 +10,175 @@ It is annihilated by the operator
     Q = yhat - sum_k q_k exp(s hbar k (k-1) / 2) xhat^k exp(s k yhat),
 
 with yhat = hbar x d/dx acting on monomials as yhat x^m = hbar m x^m.  All
-coefficients live in the exact weight-polynomial ring, so the residual of
-Q psi is a polynomial identity: every retained cell must be the exact zero.
+coefficients are exact, so the residual of Q psi is a polynomial identity:
+every retained cell must be the exact zero.
 
 Truncation bookkeeping: the hbar degree j of a cell x^k hbar^j is never
 below -k, since every hbar^-1 comes with at least one power of x.  Cells are
-therefore graded by j + k, which for a log cell is 2g - 2 + n + |mu| >= 0.
-log psi is one Series in x, to x^K, whose coefficients are power series in
-h, to h^(L+K); the cell x^k hbar^j sits at x^k h^(j+k).  Products add this
-grading and it is never negative, so psi = exp(log psi) is exact on the
-whole window and only table entries with 2g - 2 + n + |mu| <= L + K are
-read.  A cell past the window raises TruncationError.
+therefore graded by h = j + k, which for a log cell is 2g - 2 + n + |mu| >= 0.
+log psi is one Series in x, to x^K, over the packed ring CellRing: the
+x^k coefficient holds every cell x^k hbar^j with 0 <= j + k <= J = L + K.
+In such a cell every monomial q_lambda s^m has |lambda| = k and
+m = j + len(lambda), so the exponents of q_2..q_d fix the monomial and the
+cell stores one rational per exponent vector.  Products add k, h and the
+exponents, and h is never negative, so psi = exp(log psi) is exact on the
+whole window and only table entries with 2g - 2 + n + |mu| <= J are read.
+A cell past the window raises TruncationError; reading a cell decodes it
+to a WeightPolynomial.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
-from math import factorial
+from math import factorial, gcd, lcm, prod
 
 from .cutjoin import DHTable
+from .oracle import partitions_of
 from .pruning import p_series, x_of_z_series
-from .series import Series, SeriesRing
+from .series import Series, TruncationError, _pack, _unpack
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
-__all__ = ["WaveFunction", "QuantumCurveReport", "apply_quantum_curve",
+__all__ = ["WaveFunction", "CellRing", "QuantumCurveReport", "apply_quantum_curve",
            "semiclassical_check", "f01_from_quantum_curve"]
 
 Cell = tuple[int, int]  # (x degree, hbar degree)
 
 
-def _cells(series: Series) -> dict[Cell, WeightPolynomial]:
-    """The nonzero coefficients of a nested series in x over h, keyed
-    (x degree k, hbar degree j) with h^(j+k) the inner exponent."""
-    return {(k, jk - k): c
-            for k, inner in enumerate(series.coeffs, series.lo)
-            for jk, c in enumerate(inner.coeffs, inner.lo) if not c.is_zero()}
+class CellRow:
+    """One x^k coefficient of psi or log psi: integer slots over one
+    positive denominator, reduced by gcd.  Immutable."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[int, ...], den: int = 1):
+        g = gcd(den, *num)
+        if g > 1:
+            num, den = tuple(v // g for v in num), den // g
+        self.num, self.den = num, den
+
+    def __add__(self, other: "CellRow") -> "CellRow":
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        return CellRow(tuple(a * fa + b * fb for a, b in zip(self.num, other.num)),
+                       self.den * fa)
+
+    def __neg__(self) -> "CellRow":
+        return CellRow(tuple(-v for v in self.num), self.den)
+
+    def __sub__(self, other: "CellRow") -> "CellRow":
+        return self + (-other)
+
+    def __mul__(self, other: "CellRow") -> "CellRow":
+        # Slot t of the product is the sum of a[i] * b[t - i].  The slot
+        # index h*S + code adds under products without carries: a factor
+        # at x^a has e_i <= a // i, the series product forms x^a * x^b only
+        # for a + b <= K, and a // i + b // i <= K // i is below the digit
+        # base.  So the product of the packed ints is the packed product,
+        # cut at h <= J by keeping the lowest n slots.  As in
+        # ComplexRing.convolve, a slot sums at most n products, each below
+        # 2**(bits_a + bits_b), so it is below 2**(bits_a+bits_b+bitlen(n));
+        # one more bit holds the sign.
+        a, b = self.num, other.num
+        n = len(a)
+        w = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+             + n.bit_length() + 1)
+        return CellRow(tuple(_unpack(_pack(a, w) * _pack(b, w), w, n)),
+                       self.den * other.den)
+
+
+class CellRing:
+    """Coefficient ring of the x-series psi and log psi; each coefficient
+    is a CellRow.  At x^k, slot h*S + code(e_2..e_d) holds the cell
+    x^k hbar^(h-k) for 0 <= h <= J: code is the mixed-radix number with
+    digit e_i in base K // i + 1, e_2 least significant, and S is the
+    number of codes.  The exponents of q_1 and s follow from k, h and the
+    code, so they are not stored."""
+
+    def __init__(self, d_max: int, K: int, J: int):
+        self.d_max, self.K, self.J = d_max, K, J
+        self.bases = [K // i + 1 for i in range(2, d_max + 1)]
+        self.S = prod(self.bases)
+        self.digits = []                 # code -> (e_2, ..., e_d)
+        for code in range(self.S):
+            exps = []
+            for base in self.bases:
+                code, e = divmod(code, base)
+                exps.append(e)
+            self.digits.append(tuple(exps))
+        self.zero = CellRow((0,) * ((J + 1) * self.S))
+        self.one = CellRow((1,) + self.zero.num[1:])
+
+    def mul_rational(self, x: CellRow, value) -> CellRow:
+        value = Fraction(value)
+        return CellRow(tuple(v * value.numerator for v in x.num),
+                       x.den * value.denominator)
+
+    def is_zero(self, x: CellRow) -> bool:
+        return not any(x.num)
+
+    def __eq__(self, other):
+        return (isinstance(other, CellRing)
+                and (other.d_max, other.K, other.J) == (self.d_max, self.K, self.J))
+
+    def fits(self, k: int, j: int, poly: WeightPolynomial) -> bool:
+        """Whether the cell x^k hbar^j lies in the window and every monomial
+        q_lambda s^m of poly has |lambda| = k and m = j + len(lambda), the
+        grading that leaves q_1 and s implicit."""
+        return (0 <= k <= self.K and 0 <= j + k <= self.J
+                and all(sum(i * e for i, e in enumerate(qexps, 1)) == k
+                        and m == j + sum(qexps) for qexps, m, _ in poly.monomials()))
+
+    def encode(self, k: int, pieces) -> CellRow:
+        """The x^k row holding the sum of the (hbar degree j, polynomial)
+        pairs in `pieces`; a polynomial that does not fit its cell raises
+        ValueError."""
+        slots: dict[int, Fraction] = {}
+        for j, poly in pieces:
+            if not self.fits(k, j, poly):
+                raise ValueError(f"{poly} does not fit the cell x^{k} hbar^{j} "
+                                 f"(window k <= {self.K}, j + k <= {self.J})")
+            for qexps, m, coeff in poly.monomials():
+                code = 0
+                for e, base in zip(reversed(qexps[1:]), reversed(self.bases)):
+                    code = code * base + e
+                slot = (j + k) * self.S + code
+                slots[slot] = slots.get(slot, 0) + coeff
+        den = lcm(*(c.denominator for c in slots.values()))
+        num = list(self.zero.num)
+        for slot, c in slots.items():
+            num[slot] = c.numerator * (den // c.denominator)
+        return CellRow(tuple(num), den)
+
+    def decode(self, k: int, x: CellRow, j: int) -> WeightPolynomial:
+        """The cell x^k hbar^j of the x^k row x: zero for j + k < 0,
+        TruncationError past the window."""
+        h = j + k
+        if h > self.J:
+            raise TruncationError(
+                f"coefficient of h^{h} beyond truncation order {self.J + 1}")
+        terms = {}
+        if h >= 0:
+            for code, v in enumerate(x.num[h * self.S:(h + 1) * self.S]):
+                if v:
+                    rest = self.digits[code]
+                    e1 = k - sum(i * e for i, e in enumerate(rest, 2))
+                    terms[(e1,) + rest + (j + e1 + sum(rest),)] = Fraction(v, x.den)
+        return WeightPolynomial(self.d_max, terms)
 
 
 class WaveFunction:
     """Exact psi and log psi on the window k <= K, j + k <= L + K, where k
-    is the x-degree and j the hbar-degree; `psi` and `log_psi` are nested
-    Series (x over h^(j+k)), `cells` and `log_cells` their nonzero cells."""
+    is the x-degree and j the hbar-degree; `psi` and `log_psi` are Series
+    in x over `ring` (a CellRing), `cells` and `log_cells` their nonzero
+    cells.  A table value that does not fit the grading of its log cell
+    cannot be stored; it goes to `off_grading`, and the quantum-curve
+    report fails on it."""
 
     def __init__(self, table: DHTable, K: int, L: int):
         if K < 1 or L < 0:
@@ -62,49 +188,58 @@ class WaveFunction:
         self.K = K
         self.L = L
         self.J = L + K
+        self.ring = CellRing(self.d_max, K, self.J)
+        self.off_grading: dict[Cell, WeightPolynomial] = {}
         self.log_psi = self._build_log()
         self.psi = self.log_psi.exp()
 
     # ------------------------------------------------------------------
 
-    def _coverage(self):
-        """(g, mu) with |mu| <= K and 2g - 2 + n + |mu| <= J: every table
-        entry that reaches a cell of the window."""
-        for n in range(1, self.K + 1):
-            for g in count():
-                cap = min(self.K, self.J - (2 * g - 2 + n))
-                if cap < n:
-                    break
-                # ordered mu with |mu| <= cap: the gaps between n
-                # increasing partial sums, in lexicographic order
-                for sums in combinations(range(1, cap + 1), n):
-                    yield g, tuple(b - a for a, b in zip((0,) + sums, sums))
-
     def _build_log(self) -> Series:
-        ring = self.table.ring
-        grid = [[ring.zero] * (self.J + 1) for _ in range(self.K + 1)]
-        for g, mu in self._coverage():
-            value = self.table.dh(g, mu)
-            if not value.is_zero():
-                n, k = len(mu), sum(mu)
-                grid[k][2 * g - 2 + n + k] += value / factorial(n)
-        rows = [Series(ring, "h", 0, row, self.J + 1) for row in grid]
-        return Series(SeriesRing(ring, "h", self.J + 1), "x", 0, rows, self.K + 1)
+        # log psi sums DH_{g,n}(mu) / n! over ordered mu, so a partition mu
+        # with part multiplicities m_i enters once with weight 1 / prod m_i!;
+        # only entries with 2g - 2 + n + |mu| <= J reach the window
+        pieces = [[] for _ in range(self.K + 1)]
+        for k in range(1, self.K + 1):
+            for mu in partitions_of(k):
+                n = len(mu)
+                weight = Fraction(1, prod(map(factorial, Counter(mu).values())))
+                for g in range((self.J - (n + k - 2)) // 2 + 1):
+                    value = self.table.dh(g, mu)
+                    if value.is_zero():
+                        continue
+                    j, value = 2 * g - 2 + n, value.scale(weight)
+                    if self.ring.fits(k, j, value):
+                        pieces[k].append((j, value))
+                    else:   # a table defect: kept apart and failed by the check
+                        self.off_grading[(k, j)] = (
+                            self.off_grading.get((k, j), self.table.ring.zero) + value)
+        rows = [self.ring.encode(k, cells) for k, cells in enumerate(pieces)]
+        return Series(self.ring, "x", 0, rows, self.K + 1)
+
+    def _cells(self, series: Series) -> dict[Cell, WeightPolynomial]:
+        out = {}
+        for k, row in enumerate(series.coeffs, series.lo):
+            for h in range(self.J + 1):
+                cell = self.ring.decode(k, row, h - k)
+                if not cell.is_zero():
+                    out[(k, h - k)] = cell
+        return out
 
     # ------------------------------------------------------------------
 
     @property
     def cells(self) -> dict[Cell, WeightPolynomial]:
-        return _cells(self.psi)
+        return self._cells(self.psi)
 
     @property
     def log_cells(self) -> dict[Cell, WeightPolynomial]:
-        return _cells(self.log_psi)
+        return self._cells(self.log_psi)
 
     def cell(self, k: int, j: int) -> WeightPolynomial:
         """psi at x^k hbar^j: zero for j + k < 0, TruncationError past the
         window."""
-        return self.psi.coefficient(k).coefficient(j + k)
+        return self.ring.decode(k, self.psi.coefficient(k), j)
 
     def log_matches_direct_sum(self) -> bool:
         """Invariant: log of the stored series equals the direct sum on the
@@ -129,10 +264,11 @@ class QuantumCurveReport:
     L: int
     residuals: dict[Cell, WeightPolynomial]
     checked_cells: list[Cell]
+    off_grading: dict[Cell, WeightPolynomial]
 
     @property
     def ok(self) -> bool:
-        return not self.residuals
+        return not self.residuals and not self.off_grading
 
 
 def apply_quantum_curve(wf: WaveFunction) -> QuantumCurveReport:
@@ -176,7 +312,7 @@ def apply_quantum_curve(wf: WaveFunction) -> QuantumCurveReport:
             checked.append((m, j))
             if not total.is_zero():
                 residuals[(m, j)] = total
-    return QuantumCurveReport(d, wf.K, wf.L, residuals, checked)
+    return QuantumCurveReport(d, wf.K, wf.L, residuals, checked, dict(wf.off_grading))
 
 
 def semiclassical_check(d: int, order: int = 10) -> bool:

@@ -133,13 +133,20 @@ class ComplexRing:
         self.precision = precision
         self.zero = mpmath.mpc(0)
         self.one = mpmath.mpc(1)
+        self._rationals = {}  # (value, mpmath.mp.prec) -> from_rational(value)
 
     def from_rational(self, value):
         value = Fraction(value)
         return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
 
     def mul_rational(self, x, value):
-        return x * self.from_rational(value)
+        # the same few small rationals recur; each is converted once per
+        # working precision, with the bits from_rational gives
+        key = (value, mpmath.mp.prec)
+        c = self._rationals.get(key)
+        if c is None:
+            c = self._rationals[key] = self.from_rational(value)
+        return x * c
 
     def is_zero(self, x) -> bool:
         return not x

@@ -1,10 +1,12 @@
 import json
+from itertools import product
 
 import pytest
 
 from dhtr import tables
 from dhtr.cli import main
 from dhtr.curve import SpectralCurve
+from dhtr.cutjoin import DHTable
 from dhtr.weightpoly import WeightPolynomial
 
 
@@ -85,6 +87,19 @@ def test_qc_verify_at_one_above_d_with_hbar_runs(capsys):
     code, out, _ = run(capsys, "qc-verify", "--d", "2", "--K", "3", "--L", "1")
     assert code == 0
     assert "cells_checked: 3" in out and "verdict: PASS" in out
+
+
+def test_qc_verify_grid(capsys):
+    # every accepted window passes; every rejected one is a usage error
+    # with one error line: K > d, and K > d + 1 at L = 0
+    for d, K, L in product(range(1, 4), range(1, 8), range(4)):
+        argv = ("qc-verify", "--d", str(d), "--K", str(K), "--L", str(L))
+        code, out, err = run(capsys, *argv)
+        if K - d >= max(1, 2 - L):
+            assert code == 0 and "verdict: PASS" in out and not err, argv
+        else:
+            assert code == 2 and not out, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_closed_forms_order_below_one_rejected(capsys):
@@ -231,3 +246,21 @@ def test_arithmetic_error_exits_three(capsys, monkeypatch):
                          "--mu-max", "2")
     assert code == 3 and not out
     assert err == "error: branch point failed to polish: residual 1.0\n"
+
+
+def test_oracle_degree_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "oracle", "--g", "0", "--mu", "17")
+    assert code == 2 and not out
+    assert err == "error: degree 17 exceeds the oracle cap 16\n"
+
+
+def test_runtime_error_exits_three(capsys, monkeypatch):
+    # a RuntimeError (here a RecursionError) is "could not compute", not
+    # a usage error: exit 3 with one error line
+    def broken(self, g, mu):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(DHTable, "dh", broken)
+    code, out, err = run(capsys, "dh", "--g", "0", "--mu", "2,1")
+    assert code == 3 and not out
+    assert err == "error: maximum recursion depth exceeded\n"

@@ -1,3 +1,6 @@
+from itertools import count, product
+from math import factorial
+
 import pytest
 
 from dhtr.cutjoin import DHTable
@@ -7,8 +10,8 @@ from dhtr.quantum import (
     f01_from_quantum_curve,
     semiclassical_check,
 )
-from dhtr.series import TruncationError
-from dhtr.weightpoly import WeightPolynomial
+from dhtr.series import Series, SeriesRing, TruncationError
+from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +45,74 @@ def test_log_consistency(wf2):
     assert wf2.log_matches_direct_sum()
 
 
+def _perturb(wf, k, j, poly):
+    """Add poly to the stored cell psi(k, j)."""
+    wf.psi.coeffs[k] = wf.psi.coeffs[k] + wf.ring.encode(k, [(j, poly)])
+
+
 def test_log_check_detects_a_perturbed_cell():
-    wf = WaveFunction(DHTable(2), K=4, L=1)
-    assert wf.log_matches_direct_sum()
-    row = wf.psi.coeffs[2]                     # x^2, hbar^j stored at h^(j+2)
-    row.coeffs[2] = row.coeffs[2] + WeightPolynomial.q(1, 2)   # psi(2, 0)
+    # q_1 is implicit in the packed cells: the +q_1 of psi(2, 0) is +1 on
+    # its slot without q_2, the monomial q_1^2 s^2; a bare q_1 has weight 1
+    # and does not fit an x^2 cell
+    wf = WaveFunction(DHTable(2), K=4, L=2)
+    assert wf.log_matches_direct_sum() and apply_quantum_curve(wf).ok
+    with pytest.raises(ValueError, match="does not fit the cell x\\^2 hbar\\^0"):
+        _perturb(wf, 2, 0, WeightPolynomial.q(1, 2))
+    q1q1s2 = WeightPolynomial.monomial((2, 0), 2, 1, 2)
+    before = wf.cell(2, 0)
+    _perturb(wf, 2, 0, q1q1s2)
+    assert wf.cell(2, 0) == before + q1q1s2
     assert not wf.log_matches_direct_sum()
+    report = apply_quantum_curve(wf)
+    assert not report.ok and report.residuals
+
+
+def test_log_check_detects_a_perturbed_q3_slot():
+    # a q_3 monomial sits in a slot with a nonzero e_3 digit, so the check
+    # only sees it if the slot code decodes right
+    wf = WaveFunction(DHTable(3), K=6, L=2)
+    assert wf.log_matches_direct_sum() and apply_quantum_curve(wf).ok
+    q3s = WeightPolynomial.monomial((0, 0, 1), 1, 1, 3)       # psi(3, 0) has q_3 s
+    before = wf.cell(3, 0)
+    _perturb(wf, 3, 0, q3s)
+    assert wf.cell(3, 0) == before + q3s
+    assert not wf.log_matches_direct_sum()
+    report = apply_quantum_curve(wf)
+    assert not report.ok and report.residuals
+
+
+def _reference_psi(table, K, L):
+    """psi and log psi built from ordered mu as nested Series, x over h
+    with the cell x^k hbar^j at h^(j+k), over SeriesRing(WeightPolyRing)."""
+    ring, J = WeightPolyRing(table.d_max), L + K
+    grid = [[ring.zero] * (J + 1) for _ in range(K + 1)]
+    for n in range(1, K + 1):
+        for g in count():
+            if 2 * g - 2 + n + n > J:
+                break
+            for mu in product(range(1, K + 1), repeat=n):
+                k, h = sum(mu), 2 * g - 2 + n + sum(mu)
+                if k <= K and h <= J:
+                    grid[k][h] = grid[k][h] + table.dh(g, mu) / factorial(n)
+    rows = [Series(ring, "h", 0, row, J + 1) for row in grid]
+    log_psi = Series(SeriesRing(ring, "h", J + 1), "x", 0, rows, K + 1)
+    return log_psi.exp(), log_psi
+
+
+def _nested_cells(series):
+    return {(k, h - k): c for k, inner in enumerate(series.coeffs)
+            for h, c in enumerate(inner.coeffs) if not c.is_zero()}
+
+
+@pytest.mark.parametrize("d,K,L", [(1, 5, 2), (1, 7, 3), (2, 6, 2), (2, 8, 3),
+                                   (3, 5, 1), (3, 7, 2)])
+def test_cells_match_nested_series_reference(d, K, L):
+    table = DHTable(d)
+    wf = WaveFunction(table, K=K, L=L)
+    psi, log_psi = _reference_psi(table, K, L)
+    assert wf.cells == _nested_cells(psi)
+    assert wf.log_cells == _nested_cells(log_psi)
+    assert all(wf.cell(k, j) == c for (k, j), c in _nested_cells(psi).items())
 
 
 def test_cell_window(wf2):
@@ -83,6 +148,13 @@ def test_residual_detects_wrong_table():
     wf_bad = WaveFunction(table, K=4, L=2)
     report = apply_quantum_curve(wf_bad)
     assert not report.ok
+    # q_1 has weight 1, so it cannot sit in the x^2 cell: a table defect
+    assert list(report.off_grading) == [(2, -1)]
+    # a corruption that fits the grading (q_1^2 s in DH_{0,1}(2)) must
+    # show as nonzero residuals of Q psi
+    table._memo[key] = good + WeightPolynomial.monomial((2, 0), 1, 1, 2)
+    report = apply_quantum_curve(WaveFunction(table, K=4, L=2))
+    assert not report.off_grading and report.residuals and not report.ok
 
 
 def test_semiclassical_limit():
