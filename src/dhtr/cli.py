@@ -10,6 +10,10 @@ tr-verify  expand a correlation form at the origin against the table
 qc-verify  exact quantum-curve residual check
 loop-check sigma-symmetrization diagnostics for a correlation form
 phi-fit    decompose one form in the centered phi basis
+closed-forms  exact (0,1) and (0,2) generating-function identities
+
+Each handler imports the engines it runs, so `dh`, `ph`, `table`, `oracle`
+and `qc-verify` start without the TR engine or numpy.
 
 Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error (a
 ValueError: malformed input, or input out of range or past a cap), 3 could
@@ -29,14 +33,6 @@ from fractions import Fraction
 
 import mpmath
 
-from .cutjoin import DHTable
-from .curve import CurveSpec, SpectralCurve, f01_check, f02_check
-from .oracle import FactorizationOracle
-from .pruning import PruningTransform
-from .quantum import WaveFunction, apply_quantum_curve, semiclassical_check
-from .tables import (GOLDEN_D_MAX, diff_table, load_golden, render_polynomial_s1,
-                     render_rows_csv, render_rows_json, render_rows_text)
-from .toprec import RecursionEngine
 from .weightpoly import parse_rational
 
 __all__ = ["main"]
@@ -62,7 +58,9 @@ def _parse_q(text: str, d: int) -> list[Fraction]:
     return parts
 
 
-def _curve_from_args(args) -> SpectralCurve:
+def _curve_from_args(args):
+    from .curve import CurveSpec, SpectralCurve
+
     q = _parse_q(args.q, args.d)
     spec = CurveSpec.make(args.d, q, parse_rational(args.s),
                           precision=args.precision)
@@ -103,6 +101,9 @@ def _nstr(x, digits=12) -> str:
 
 
 def cmd_dh(args) -> int:
+    from .cutjoin import DHTable
+    from .tables import render_polynomial_s1
+
     mu = _parse_mu(args.mu)
     d = args.d or sum(mu)
     table = DHTable(d)
@@ -118,6 +119,10 @@ def cmd_dh(args) -> int:
 
 
 def cmd_ph(args) -> int:
+    from .cutjoin import DHTable
+    from .pruning import PruningTransform
+    from .tables import render_polynomial_s1
+
     mu = _parse_mu(args.mu)
     d = args.d or sum(mu)
     transform = PruningTransform(DHTable(d))
@@ -133,6 +138,11 @@ def cmd_ph(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .cutjoin import DHTable
+    from .pruning import PruningTransform
+    from .tables import (GOLDEN_D_MAX, diff_table, load_golden, render_rows_csv,
+                         render_rows_json, render_rows_text)
+
     name = args.table.upper()
     if name not in ("A", "B"):
         print("error: table must be A or B", file=sys.stderr)
@@ -163,6 +173,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .cutjoin import DHTable
+    from .oracle import FactorizationOracle
+    from .tables import render_polynomial_s1
+
     mu = _parse_mu(args.mu)
     d = args.d or sum(mu)
     oracle = FactorizationOracle(d)
@@ -186,6 +200,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_tr_verify(args) -> int:
+    from .toprec import RecursionEngine
+
     curve = _curve_from_args(args)
     engine = RecursionEngine(curve, extra_order=args.order)
     tol = mpmath.mpf(args.tolerance) if args.tolerance else None
@@ -218,6 +234,9 @@ def cmd_tr_verify(args) -> int:
 
 
 def cmd_qc_verify(args) -> int:
+    from .cutjoin import DHTable
+    from .quantum import WaveFunction, apply_quantum_curve, semiclassical_check
+
     table = DHTable(args.d)
     wf = WaveFunction(table, K=args.K, L=args.L)
     report = apply_quantum_curve(wf)
@@ -242,6 +261,8 @@ def cmd_qc_verify(args) -> int:
 
 
 def cmd_loop_check(args) -> int:
+    from .toprec import RecursionEngine
+
     curve = _curve_from_args(args)
     engine = RecursionEngine(curve, extra_order=args.order)
     report = engine.loop_equation_check(args.g, args.n)
@@ -254,6 +275,8 @@ def cmd_loop_check(args) -> int:
 
 
 def cmd_phi_fit(args) -> int:
+    from .toprec import RecursionEngine
+
     curve = _curve_from_args(args)
     engine = RecursionEngine(curve, extra_order=args.order)
     report = engine.phi_decompose(args.g, args.n, m_cap=args.m_cap)
@@ -276,6 +299,8 @@ def cmd_phi_fit(args) -> int:
 
 
 def cmd_closed_forms(args) -> int:
+    from .curve import f01_check, f02_check
+
     r1 = f01_check(args.d, args.order)
     r2 = f02_check(args.d, min(args.order, 6))
     payload = {

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .cutjoin import DHTable
 from .pruning import p_series, x_of_z, x_of_z_series
@@ -105,6 +104,8 @@ class SpectralCurve:
         polished by Newton iteration at full precision."""
         if self._roots is not None:
             return self._roots
+        import numpy as np  # the only numpy use; loaded here to keep start-up light
+
         with mpmath.workprec(self.prec):
             float_coeffs = [complex(c) for c in reversed(self.W.coeffs)]
             seeds = np.roots(np.array(float_coeffs, dtype=complex))

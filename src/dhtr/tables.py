@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 
 from .cutjoin import DHTable
 from .weightpoly import WeightPolynomial, format_rational, parse_rational
@@ -27,9 +29,15 @@ _FILES = {"A": "golden_dh.json", "B": "golden_ph.json"}
 
 @dataclass(frozen=True)
 class GoldenRow:
+    """One stored row; `coeffs` is a read-only view, so the rows that
+    load_golden shares between callers cannot be altered."""
+
     g: int
     mu: tuple[int, ...]
-    coeffs: dict[tuple[int, ...], Fraction]  # q exponent vector -> value at s=1
+    coeffs: MappingProxyType  # q exponent vector -> value at s=1
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
 
 @dataclass
@@ -50,7 +58,9 @@ def _parts_to_exponents(parts: list[int], d_max: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def load_golden(table: str) -> list[GoldenRow]:
+@cache
+def load_golden(table: str) -> tuple[GoldenRow, ...]:
+    """The rows of golden table A or B, parsed once per process."""
     if table not in _FILES:
         raise ValueError("table must be 'A' or 'B'")
     payload = resources.files("dhtr").joinpath("data", _FILES[table]).read_text()
@@ -61,7 +71,7 @@ def load_golden(table: str) -> list[GoldenRow]:
             for term in entry["poly"]
         }
         rows.append(GoldenRow(entry["g"], tuple(entry["mu"]), coeffs))
-    return rows
+    return tuple(rows)
 
 
 def regenerate(table: str, dh_table: DHTable | None = None):
@@ -86,7 +96,7 @@ def diff_table(table: str, dh_table: DHTable | None = None) -> TableDiff:
         diff.row_count += 1
         got = computed.at_s_one()
         if got != row.coeffs:
-            diff.mismatches.append((row.g, row.mu, row.coeffs, got))
+            diff.mismatches.append((row.g, row.mu, dict(row.coeffs), got))
     return diff
 
 

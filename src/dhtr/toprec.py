@@ -23,7 +23,7 @@ from math import prod
 import mpmath
 
 from .curve import BranchPointData, PhiBasis, SpectralCurve, log_difference_quotient
-from .cutjoin import DHTable
+from .cutjoin import DHTable, canonical_mu
 from .pruning import x_of_z
 from .series import Series, TruncationError
 
@@ -455,12 +455,12 @@ class RecursionEngine:
         with mpmath.workprec(self.prec):
             form = self.form(g, n)
             predicted = self.expand_at_origin(form, mu_max)
-            pairs = {}
-            for mu in sorted(predicted):
-                exact = self.table.dh(g, mu).specialize(
-                    list(self.curve.spec.q_values), self.curve.spec.s_value
-                )
-                pairs[mu] = (predicted[mu], self.ring.from_rational(exact))
+            # the exact value is symmetric in mu: one per canonical mu
+            q, s = list(self.curve.spec.q_values), self.curve.spec.s_value
+            expected = {key: self.ring.from_rational(self.table.dh(g, key).specialize(q, s))
+                        for key in {canonical_mu(mu) for mu in predicted}}
+            pairs = {mu: (predicted[mu], expected[canonical_mu(mu)])
+                     for mu in sorted(predicted)}
             # residuals are relative to the row's own value; rows whose exact
             # value vanishes (impossible covers) are measured against the
             # largest expected value of the report instead
@@ -551,6 +551,8 @@ class RecursionEngine:
                       tolerance=None) -> PhiFitReport:
         """Fit F_{g,n} (from the pole basis) in the tensor basis of
         centered phi functions, discovering the m-support empirically."""
+        if m_cap < 0:
+            raise ValueError(f"m_cap must be >= 0, got {m_cap}")
         tolerance = tolerance if tolerance is not None else self.default_tolerance()
         with mpmath.workprec(self.prec):
             form = self.form(g, n)

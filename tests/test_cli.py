@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhtr import tables
 from dhtr.cli import main
@@ -264,3 +267,89 @@ def test_runtime_error_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "dh", "--g", "0", "--mu", "2,1")
     assert code == 3 and not out
     assert err == "error: maximum recursion depth exceeded\n"
+
+
+# ----------------------------------------------------------------------
+# argv fuzz: any mix of valid and malformed tokens gets a documented exit
+# code and never a traceback.  Values are kept small so every run is cheap.
+
+GENUS = ["-1", "0", "1", "2", "x"]
+MU = ["1", "2", "2,1", "3,1", "1,1,1", "0,1", "2,-1", "1,,1", "x", ""]
+FORMAT = ["text", "json", "csv", "xml"]
+CURVE_FLAGS = {
+    "--d": ["0", "1", "2", "3", "x"],
+    "--q": ["1,1", "1", "1/2,1", "1,0", "1,-1/80", "1,1,1", "1/0,1", "x,1"],
+    "--s": ["1/10", "-1/12", "0", "2", "1/0", "x"],
+    "--precision": ["64", "63", "x"],
+    "--order": ["-1", "0", "1", "x"],
+    "--format": FORMAT,
+}
+# (g, n) pairs of the TR commands: the stable ones all have 2g - 2 + n = 1
+FORMS = [("0", "3"), ("1", "1"), ("0", "2"), ("0", "1"), ("2", "0"),
+         ("-1", "3"), ("1", "-1"), ("x", "1"), ("1", "x")]
+COMMANDS = {
+    "dh": {"--g": GENUS, "--mu": MU, "--d": ["0", "1", "3", "-1", "x"],
+           "--s-poly": None, "--format": FORMAT},
+    "ph": {"--g": GENUS, "--mu": MU, "--d": ["0", "1", "3", "-1", "x"],
+           "--s-poly": None, "--format": FORMAT},
+    "table": {"--format": FORMAT},
+    "oracle": {"--g": GENUS, "--mu": MU + ["17"], "--d": ["0", "1", "3", "x"],
+               "--format": FORMAT},
+    "tr-verify": {"--mu-max": ["-1", "0", "1", "2", "x"],
+                  "--tolerance": ["1e-10", "0", "-1", "1e-300", "x"],
+                  "--stability": None, **CURVE_FLAGS},
+    "qc-verify": {"--d": ["-1", "0", "1", "2", "3", "x"],
+                  "--K": ["-1", "0", "1", "2", "4", "6", "x"],
+                  "--L": ["-1", "0", "1", "2", "x"],
+                  "--dump-residuals": None, "--format": FORMAT},
+    "loop-check": CURVE_FLAGS,
+    "phi-fit": {"--m-cap": ["-1", "0", "1", "6", "x"], **CURVE_FLAGS},
+    "closed-forms": {"--d": ["-1", "0", "1", "2", "3", "x"],
+                     "--order": ["-1", "0", "1", "3", "6", "x"],
+                     "--format": FORMAT},
+}
+TR_COMMANDS = ("tr-verify", "loop-check", "phi-fit")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["nope", "--bogus"]))
+    flags = COMMANDS.get(command, CURVE_FLAGS)
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(["A", "B", "a", "Q", ""])))
+    if draw(st.integers(0, 3)):  # the required flags, most of the time
+        if command in TR_COMMANDS:
+            g, n = draw(st.sampled_from(FORMS))
+            argv += ["--g", g, "--n", n]
+        elif command in ("dh", "ph", "oracle"):
+            argv += ["--g", draw(st.sampled_from(GENUS)),
+                     "--mu", draw(st.sampled_from(MU))]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        argv.append(flag)
+        if flags[flag]:
+            argv.append(draw(st.sampled_from(flags[flag])))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(argvs())
+def test_argv_fuzz_exit_codes(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse and the parsers of cli.py
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def test_phi_fit_negative_m_cap_rejected(capsys):
+    # found by the argv fuzz: it was an AttributeError traceback
+    code, out, err = run(capsys, "phi-fit", "--g", "1", "--n", "1",
+                         "--m-cap", "-1")
+    assert code == 2 and not out
+    assert err == "error: m_cap must be >= 0, got -1\n"

@@ -46,6 +46,16 @@ def test_every_golden_row(table5):
         assert table5.dh(row.g, row.mu).at_s_one() == row.coeffs, (row.g, row.mu)
 
 
+def test_golden_rows_are_parsed_once_and_read_only():
+    rows = load_golden("A")
+    assert load_golden("A") is rows and isinstance(rows, tuple)
+    key = next(iter(rows[0].coeffs))
+    with pytest.raises(TypeError):
+        rows[0].coeffs[key] = Fraction(0)
+    with pytest.raises(AttributeError):
+        rows[0].g = 9
+
+
 def test_symmetry_under_permutation(table5):
     rng = random.Random(7)
     for mu in [(1, 2), (3, 1, 2), (2, 2, 1), (1, 1, 3)]:
