@@ -9,11 +9,11 @@ oracle     compare the factorization count against the recursion
 tr-verify  expand a correlation form at the origin against the table
 qc-verify  exact quantum-curve residual check
 loop-check sigma-symmetrization diagnostics for a correlation form
-phi-fit    decompose one form in the centered phi basis
+phi-fit    exact fit of the pruned numbers in the centered phi products
 closed-forms  exact (0,1) and (0,2) generating-function identities
 
-Each handler imports the engines it runs, so `dh`, `ph`, `table`, `oracle`
-and `qc-verify` start without the TR engine or numpy.
+Each handler imports the engines it runs, so `dh`, `ph`, `table`, `oracle`,
+`qc-verify` and `phi-fit` start without the TR engine or numpy.
 
 Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error (a
 ValueError: malformed input, or input out of range or past a cap), 3 could
@@ -67,12 +67,16 @@ def _curve_from_args(args):
     return SpectralCurve(spec)
 
 
-def _add_curve_flags(parser, default_q="1,1", default_d=2):
-    parser.add_argument("--d", type=int, default=default_d,
+def _add_weight_flags(parser):
+    parser.add_argument("--d", type=int, default=2,
                         help="degree of the weight polynomial P")
-    parser.add_argument("--q", default=default_q,
+    parser.add_argument("--q", default="1,1",
                         help="comma-separated rational weights q_1..q_d")
     parser.add_argument("--s", default="1/10", help="rational weight s")
+
+
+def _add_curve_flags(parser):
+    _add_weight_flags(parser)
     parser.add_argument("--precision", type=int, default=256,
                         help="working precision in bits")
     parser.add_argument("--order", type=int, default=0,
@@ -275,25 +279,21 @@ def cmd_loop_check(args) -> int:
 
 
 def cmd_phi_fit(args) -> int:
-    from .toprec import RecursionEngine
+    from .curve import phi_fit
+    from .cutjoin import DHTable
+    from .pruning import PruningTransform
+    from .weightpoly import format_rational
 
-    curve = _curve_from_args(args)
-    engine = RecursionEngine(curve, extra_order=args.order)
-    report = engine.phi_decompose(args.g, args.n, m_cap=args.m_cap)
-    coeffs = []
-    with mpmath.workprec(curve.prec):
-        scale = max((abs(c) for c in report.coefficients.values()),
-                    default=mpmath.mpf(0))
-        for combo, value in sorted(report.coefficients.items()):
-            if scale and abs(value) < scale * mpmath.mpf(10) ** -40:
-                continue
-            label = " * ".join(f"phi[{i},{m}]" for (i, m) in combo)
-            coeffs.append({"basis": label, "coefficient": str(value)})
-    payload = {"g": args.g, "n": args.n, "m_cutoff": report.m_cutoff,
-               "residual": _nstr(report.residual),
-               "tolerance": _nstr(report.tolerance),
-               "verdict": "PASS" if report.ok else "FAIL",
-               "rows": coeffs}
+    q = _parse_q(args.q, args.d)
+    report = phi_fit(PruningTransform(DHTable(args.d)), q, parse_rational(args.s),
+                     args.g, args.n)
+    rows = [{"basis": " * ".join(f"phi[{i},{k}]" for (i, k) in combo),
+             "coefficient": format_rational(value)}
+            for combo, value in report.coefficients.items()]
+    payload = {"g": args.g, "n": args.n, "degree_bound": report.degree_bound,
+               "box": report.box, "equations": report.equations,
+               "unknowns": report.unknowns, "rank": report.rank,
+               "verdict": "PASS" if report.ok else "FAIL", "rows": rows}
     _emit_report(payload, args.format)
     return 0 if report.ok else 1
 
@@ -380,11 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_loop_check)
 
-    p = sub.add_parser("phi-fit", help="decompose a form in the phi basis")
+    p = sub.add_parser("phi-fit", help="exact fit of PH in the phi products")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-cap", type=int, default=6)
-    _add_curve_flags(p)
+    _add_weight_flags(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_phi_fit)
 

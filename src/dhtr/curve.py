@@ -9,26 +9,35 @@ truncated views of that build, which equal a fresh build bit for bit.  The
 module also hosts the x-inversion at the origin (numeric and exact), the
 partition-sum coefficients of z^i = sum A_mu^i x^mu, the phi basis spanning
 the space of loop-equation solutions, and exact series checks of the closed
-forms for the (0,1) and (0,2) generating functions.
+forms for the (0,1) and (0,2) generating functions.  `phi_fit` checks
+the polynomial structure of the pruned numbers exactly: F_{g,n} in z lies in
+the span of the phi products of bounded degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
+from math import comb, prod
 
 import mpmath
 
 from .cutjoin import DHTable
-from .pruning import p_series, x_of_z, x_of_z_series
-from .series import AlgebraError, ComplexRing, Poly, Series, SeriesRing
+from .pruning import PruningTransform, p_series, x_of_z, x_of_z_series
+from .series import ComplexRing, Poly, RationalRing, Series, SeriesRing
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
 __all__ = [
     "CurveSpec", "BranchPointData", "SpectralCurve", "DegenerateCurveError",
     "a_mu_coefficient", "invert_x_exact", "PhiBasis", "RationalOverW",
-    "f01_check", "f02_check", "CheckReport", "log_difference_quotient",
+    "PhiFitReport", "phi_fit", "f01_check", "f02_check", "CheckReport",
+    "log_difference_quotient",
 ]
+
+
+# branch points closer than this, relative to the largest one, coincide
+SEPARATION_REL = 1e-6
 
 
 class DegenerateCurveError(ValueError):
@@ -45,7 +54,6 @@ class CurveSpec:
     q_values: tuple[Fraction, ...]
     s_value: Fraction
     precision: int = 256
-    separation_rel: float = 1e-6
 
     def __post_init__(self):
         if self.d < 1:
@@ -60,9 +68,9 @@ class CurveSpec:
             raise ValueError("precision must be at least 64 bits")
 
     @classmethod
-    def make(cls, d: int, q_values, s_value, precision: int = 256, **kw) -> "CurveSpec":
+    def make(cls, d: int, q_values, s_value, precision: int = 256) -> "CurveSpec":
         return cls(d, tuple(Fraction(v) for v in q_values), Fraction(s_value),
-                   precision, **kw)
+                   precision)
 
 
 @dataclass
@@ -122,7 +130,7 @@ class SpectralCurve:
             # root, so a residual check would misreport degeneracy
             for i in range(len(roots)):
                 for j in range(i + 1, len(roots)):
-                    if abs(roots[i] - roots[j]) < self.spec.separation_rel * scale:
+                    if abs(roots[i] - roots[j]) < SEPARATION_REL * scale:
                         raise DegenerateCurveError(
                             "coincident branch points; the curve is outside the "
                             "simple-branch-point regime"
@@ -309,19 +317,6 @@ class RationalOverW:
         w0 = self.w.to_series("z", order)
         return n0 * w0.inverse().pow_int(self.wpow)
 
-    def value_at_infinity(self):
-        """Limit as z -> infinity; finite whenever deg N <= j deg w."""
-        ring = self.numer.ring
-        deg_d = self.wpow * self.w.degree()
-        deg_n = self.numer.degree()
-        while deg_n > 0 and ring.is_zero(self.numer.coeffs[deg_n]):
-            deg_n -= 1
-        if deg_n < deg_d:
-            return ring.zero
-        if deg_n == deg_d:
-            return self.numer.coeffs[deg_n] / self.w.coeffs[self.w.degree()] ** self.wpow
-        raise AlgebraError("rational function diverges at infinity")
-
 
 class PhiBasis:
     """phi_{-1}^i = z^i and phi_{k+1}^i = (z / w) d/dz phi_k^i.
@@ -361,6 +356,101 @@ class PhiBasis:
             (WeightPolynomial.q(i, d_max) * s).scale(-i) for i in range(1, d_max + 1)
         ]
         return cls(Poly(ring, w_coeffs))
+
+
+@dataclass
+class PhiFitReport:
+    """The exact fit of F_{g,n} in the symmetrized phi products.
+
+    `coefficients` maps each sorted product ((i_1, k_1), ..., (i_n, k_n))
+    to its rational coefficient; it is empty when the system is
+    inconsistent."""
+
+    g: int
+    n: int
+    degree_bound: int
+    box: int
+    equations: int
+    unknowns: int
+    rank: int
+    consistent: bool
+    coefficients: dict
+
+    @property
+    def ok(self) -> bool:
+        # fail closed: a system with no more equations than its rank is
+        # solvable whatever its right side
+        return self.consistent and self.equations > self.rank
+
+
+def phi_fit(transform: PruningTransform, q_values, s_value, g: int, n: int) -> PhiFitReport:
+    """Fit F_{g,n}(z_1..z_n) = sum PH_{g,n}(nu) prod z_j^nu_j, at rational
+    weights, as a combination of the symmetrized products
+    prod_j (phi_{k_j}^{i_j}(z_j) - phi_{k_j}^{i_j}(0)) with
+    sum_j k_j <= 3g - 3 + n, by Gaussian elimination over Q.
+
+    There is one equation per canonical nu in the box [1..N]^n; the
+    equations read coefficients at exponents nu_j >= 1, so the centring
+    constants never enter.  N starts at the smallest box with more
+    equations than unknowns and grows while the system is consistent and
+    short of full rank; the table's caps end the growth with
+    ResourceLimitError."""
+    if g < 0 or n < 1:
+        raise ValueError(f"forms need g >= 0 and n >= 1, got (g, n) = ({g}, {n})")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("stable forms require 2g - 2 + n > 0")
+    spec = CurveSpec.make(transform.table.d_max, q_values, s_value)
+    q, s = list(spec.q_values), spec.s_value
+    ring = RationalRing()
+    basis = PhiBasis(Poly(ring, [ring.one] + [-s * i * q_i for i, q_i in enumerate(q, 1)]))
+    bound = 3 * g - 3 + n
+    labels = [(i, k) for i in range(1, spec.d + 1) for k in range(bound + 1)]
+    unknowns = [c for c in combinations_with_replacement(labels, n)
+                if sum(k for _, k in c) <= bound]
+    orderings = [set(permutations(c)) for c in unknowns]
+
+    box = 1
+    while comb(box + n - 1, n) <= len(unknowns):
+        box += 1
+    pivots: list[tuple[int, list]] = []
+    equations, consistent, done = 0, True, 0
+    while True:
+        phis = {label: basis.phi(*label).series_at_origin(box + 1) for label in labels}
+        for nu in combinations_with_replacement(range(box, 0, -1), n):
+            if nu[0] <= done:
+                continue
+            row = [sum(prod(phis[label].coefficient(e) for label, e in zip(p, nu))
+                       for p in ps) for ps in orderings]
+            row.append(transform.ph(g, nu).specialize(q, s))
+            equations += 1
+            consistent = _eliminate(pivots, row) and consistent
+        if not consistent or len(pivots) == len(unknowns):
+            break
+        done, box = box, box + 1
+
+    solution: dict[int, Fraction] = {}
+    if consistent:
+        for col, row in reversed(pivots):  # full rank: every column a pivot
+            solution[col] = row[-1] - sum(row[j] * x for j, x in solution.items())
+    coefficients = {unknowns[col]: x for col, x in sorted(solution.items())}
+    return PhiFitReport(g, n, bound, box, equations, len(unknowns), len(pivots),
+                        consistent, coefficients)
+
+
+def _eliminate(pivots: list, row: list) -> bool:
+    """Reduce `row` (coefficients, then the right side) by the pivot rows
+    and keep it as a new pivot row if anything is left of its coefficients.
+    Each pivot row is zero at the pivots before it, so reducing in order
+    clears them all.  False iff the row reduces to 0 = nonzero."""
+    for col, pivot in pivots:
+        factor = row[col]
+        if factor:
+            row = [a - factor * b for a, b in zip(row, pivot)]
+    col = next((j for j, a in enumerate(row[:-1]) if a), None)
+    if col is None:
+        return not row[-1]
+    pivots.append((col, [a / row[col] for a in row]))
+    return True
 
 
 # ----------------------------------------------------------------------

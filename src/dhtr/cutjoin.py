@@ -41,7 +41,6 @@ from functools import cache
 from itertools import product
 from math import comb, factorial, prod
 
-from .series import Series, SeriesRing
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
 __all__ = ["DHTable", "ResourceLimitError", "canonical_mu", "splits"]
@@ -209,7 +208,7 @@ class DHTable:
         return self._counts[key]
 
     # ------------------------------------------------------------------
-    # consistency checks and specializations
+    # consistency check
 
     def euler_consistency(self, g: int, mu) -> bool:
         """Check the integer recursion against the rational s-derivative
@@ -240,50 +239,3 @@ class DHTable:
                 term = term * self.dh(*child)
             rhs = rhs + term.scale(mult * (x + y) if join else Fraction(mult * x * y, 2))
         return euler == rhs.mul_s_power(1)
-
-    def specialize(self, p: WeightPolynomial, q_values, s_value) -> Fraction:
-        q_values = [Fraction(v) for v in q_values]
-        if len(q_values) != self.d_max:
-            raise ValueError("q_values must have length d_max")
-        return p.specialize(q_values, Fraction(s_value))
-
-    # ------------------------------------------------------------------
-    # free energies
-
-    def free_energy_coefficients(self, g: int, n: int, order: int) -> dict[tuple[int, ...], WeightPolynomial]:
-        """All DH_{g,n}(mu) with each mu_i <= order, keyed by ordered mu.
-
-        These are the coefficients of F_{g,n} = sum DH(mu) prod x_i^{mu_i}.
-        """
-        return {mu: self.dh(g, mu)
-                for mu in product(range(1, order + 1), repeat=n)}
-
-    def omega_coefficients(self, g: int, n: int, order: int) -> dict[tuple[int, ...], WeightPolynomial]:
-        """Coefficients of the multidifferential d_1..d_n F_{g,n}: the
-        value attached to prod x_i^{mu_i - 1} dx_i is DH(mu) * prod mu_i."""
-        return {
-            mu: value.scale(Fraction(prod(mu)))
-            for mu, value in self.free_energy_coefficients(g, n, order).items()
-        }
-
-    def free_energy_series(self, g: int, n: int, order: int) -> Series:
-        """F_{g,n} as a nested truncated series: the innermost variable is
-        x_1, the outermost x_n, all truncated at the same order."""
-        coeffs = self.free_energy_coefficients(g, n, order)
-        ring = self.ring
-        rings = [ring]
-        for k in range(n):
-            rings.append(SeriesRing(rings[-1], f"x{k + 1}", order + 1))
-
-        def build(level: int, prefix: tuple[int, ...]) -> object:
-            # level counts down: level == 0 places the weight polynomial
-            if level == 0:
-                return coeffs[prefix]
-            sub_ring = rings[level - 1]
-            vals = [build(level - 1, prefix + (m,)) if m >= 1 else sub_ring.zero
-                    for m in range(order + 1)]
-            return Series(rings[level - 1], f"x{level}", 0, vals, order + 1)
-
-        # prefix indices run x_n, x_{n-1}, ..., x_1 from outside in; DH is
-        # symmetric so the slot order is immaterial.
-        return build(n, ())

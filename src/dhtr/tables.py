@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 from types import MappingProxyType
 
 from .cutjoin import DHTable
-from .weightpoly import WeightPolynomial, format_rational, parse_rational
+from .weightpoly import WeightPolynomial, parse_rational
 
 __all__ = ["GoldenRow", "TableDiff", "load_golden", "regenerate", "diff_table",
            "GOLDEN_D_MAX", "render_rows_text", "render_rows_json", "render_rows_csv"]
@@ -111,26 +110,10 @@ def _mu_label(mu: tuple[int, ...]) -> str:
 
 
 def render_polynomial_s1(poly: WeightPolynomial) -> str:
-    """Value at s = 1 with monomials in degree-lexicographic partition
-    order, matching the golden table layout."""
-    collapsed = poly.at_s_one()
-    items = []
-    for qexps, coeff in collapsed.items():
-        parts = WeightPolynomial._partition_of(qexps)
-        items.append((parts, qexps, coeff))
-    items.sort(key=lambda it: (-sum(it[0]), tuple(-p for p in it[0])))
-    pieces = []
-    for _, qexps, coeff in items:
-        factors = []
-        if coeff != 1 or not any(qexps):
-            factors.append(format_rational(coeff))
-        for i in range(len(qexps) - 1, -1, -1):
-            if qexps[i] == 1:
-                factors.append(f"q{i + 1}")
-            elif qexps[i] > 1:
-                factors.append(f"q{i + 1}^{qexps[i]}")
-        pieces.append(" ".join(factors))
-    return " + ".join(pieces) if pieces else "0"
+    """Value at s = 1 in the golden table layout: `pretty` of the collapsed
+    polynomial."""
+    collapsed = {qexps + (0,): coeff for qexps, coeff in poly.at_s_one().items()}
+    return WeightPolynomial(poly.d_max, collapsed).pretty(show_s=False)
 
 
 def render_rows_text(rows) -> str:

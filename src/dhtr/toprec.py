@@ -10,8 +10,8 @@ expansion 1/(z_1 - z) = sum_k (z - a_i)^k / (z_1 - a_i)^(k+1).
 
 Beyond the recursion itself the engine hosts the closed-form cross-checks
 (the triple-point form and the genus-one one-point form), the expansion of
-forms at the origin against the exact recursion table, loop-equation
-diagnostics, and the decomposition of one-point data in the phi basis.
+forms at the origin against the exact recursion table, and loop-equation
+diagnostics.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from math import prod
 
 import mpmath
 
-from .curve import BranchPointData, PhiBasis, SpectralCurve, log_difference_quotient
+from .curve import BranchPointData, SpectralCurve, log_difference_quotient
 from .cutjoin import DHTable, canonical_mu
 from .pruning import x_of_z
 from .series import Series, TruncationError
 
 __all__ = ["CorrelationForm", "RecursionEngine", "VerifyRow", "VerifyReport",
-           "LoopCheckReport", "PhiFitReport"]
+           "LoopCheckReport"]
 
 
 @dataclass
@@ -120,20 +120,6 @@ class LoopCheckReport:
     @property
     def ok(self) -> bool:
         return self.worst < self.tolerance
-
-
-@dataclass
-class PhiFitReport:
-    g: int
-    n: int
-    coefficients: dict
-    residual: object
-    m_cutoff: int
-    tolerance: object
-
-    @property
-    def ok(self) -> bool:
-        return self.residual < self.tolerance
 
 
 def _label(index: tuple[int, int]) -> tuple[int, int]:
@@ -505,7 +491,7 @@ class RecursionEngine:
             return VerifyReport(0, 2, rows, tolerance)
 
     # ------------------------------------------------------------------
-    # loop equations and phi decomposition
+    # loop equations
 
     def loop_equation_check(self, g: int, n: int, tolerance=None) -> LoopCheckReport:
         """The sigma-symmetrized one-slot restriction of F_{g,n} must be
@@ -547,69 +533,6 @@ class RecursionEngine:
                     details.append((spect, bp.index, rel))
             return LoopCheckReport(g, n, worst, tolerance, details)
 
-    def phi_decompose(self, g: int, n: int, m_cap: int = 6,
-                      tolerance=None) -> PhiFitReport:
-        """Fit F_{g,n} (from the pole basis) in the tensor basis of
-        centered phi functions, discovering the m-support empirically."""
-        if m_cap < 0:
-            raise ValueError(f"m_cap must be >= 0, got {m_cap}")
-        tolerance = tolerance if tolerance is not None else self.default_tolerance()
-        with mpmath.workprec(self.prec):
-            form = self.form(g, n)
-            basis = PhiBasis.for_curve(self.curve)
-            d = self.curve.spec.d
-            roots = self.curve.branch_points()
-            rmin = min(abs(a) for a in roots)
-            best = None
-            for m_cutoff in range(0, m_cap + 1):
-                slots = [(i, m) for i in range(1, d + 1) for m in range(m_cutoff + 1)]
-                unknowns = len(slots) ** n
-                n_samples = 2 * unknowns + 8
-                samples = _sample_tuples(n_samples, n, rmin, self.prec)
-                b = mpmath.matrix(n_samples, 1)
-                for t, pt in enumerate(samples):
-                    b[t, 0] = self._f_value(form, pt, roots)
-                a_mat = mpmath.matrix(n_samples, unknowns)
-                col = 0
-                col_keys = []
-                # the first slot varies fastest: this fixes the QR column order
-                for combo in (c[::-1] for c in product(slots, repeat=n)):
-                    for t, pt in enumerate(samples):
-                        value = mpmath.mpc(1)
-                        for (i, m), z in zip(combo, pt):
-                            phi = basis.phi(i, m)
-                            value *= phi(z) - phi.value_at_infinity()
-                        a_mat[t, col] = value
-                    col_keys.append(combo)
-                    col += 1
-                x, _residual_info = mpmath.qr_solve(a_mat, b)
-                resid = mpmath.mpf(0)
-                bscale = max(abs(b[t, 0]) for t in range(n_samples))
-                for t in range(n_samples):
-                    acc = mpmath.mpc(0)
-                    for cidx in range(unknowns):
-                        acc += a_mat[t, cidx] * x[cidx, 0]
-                    resid = max(resid, abs(acc - b[t, 0]))
-                rel = resid / bscale if bscale else resid
-                coeffs = {col_keys[cidx]: x[cidx, 0] for cidx in range(unknowns)}
-                best = PhiFitReport(g, n, coeffs, rel, m_cutoff, tolerance)
-                if rel < tolerance:
-                    break
-            return best
-
-    def _f_value(self, form: CorrelationForm, points, roots):
-        total = mpmath.mpc(0)
-        for idx, c in form.coeffs.items():
-            term = c
-            for z, (i, k) in zip(points, idx):
-                if k == 0:
-                    term = None
-                    break
-                term = term * (-(z - roots[i]) ** (-k)) / k
-            if term is not None:
-                total += term
-        return total
-
     # ------------------------------------------------------------------
     # stability
 
@@ -645,21 +568,3 @@ def _form_drift(a: CorrelationForm, b: CorrelationForm):
         worst = max(worst, abs(ca - cb))
     return worst / scale
 
-
-def _sample_tuples(count: int, n: int, rmin, prec: int):
-    """Deterministic pseudo-random sample points well inside the
-    branch-point radius.  Slots must be sampled independently: points tied
-    by a common parameter (e.g. one geometric progression per slot) make
-    tensor-product bases rank-deficient along the sampling family."""
-    import random
-
-    rng = random.Random(20200615)
-    out = []
-    for _ in range(count):
-        pt = []
-        for _ in range(n):
-            radius = rmin * mpmath.mpf(rng.uniform(0.2, 0.45))
-            angle = mpmath.mpf(2) * mpmath.pi * mpmath.mpf(rng.random())
-            pt.append(radius * mpmath.exp(1j * angle))
-        out.append(tuple(pt))
-    return out

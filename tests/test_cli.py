@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from dhtr import tables
 from dhtr.cli import main
 from dhtr.curve import SpectralCurve
 from dhtr.cutjoin import DHTable
+from dhtr.pruning import PruningTransform
 from dhtr.weightpoly import WeightPolynomial
 
 
@@ -209,6 +211,7 @@ def test_negative_genus_rejected(capsys):
     for argv, message in [
         (("tr-verify", "--g", "-1", "--n", "5", "--mu-max", "1"),
          "error: forms need g >= 0 and n >= 1"),
+        (("phi-fit", "--g", "-1", "--n", "3"), "error: forms need g >= 0 and n >= 1"),
         (("dh", "--g", "-1", "--mu", "2"), "error: genus must be >= 0"),
         (("oracle", "--g", "-1", "--mu", "2,2"), "error: genus must be >= 0"),
     ]:
@@ -276,14 +279,14 @@ def test_runtime_error_exits_three(capsys, monkeypatch):
 GENUS = ["-1", "0", "1", "2", "x"]
 MU = ["1", "2", "2,1", "3,1", "1,1,1", "0,1", "2,-1", "1,,1", "x", ""]
 FORMAT = ["text", "json", "csv", "xml"]
-CURVE_FLAGS = {
+WEIGHT_FLAGS = {
     "--d": ["0", "1", "2", "3", "x"],
     "--q": ["1,1", "1", "1/2,1", "1,0", "1,-1/80", "1,1,1", "1/0,1", "x,1"],
     "--s": ["1/10", "-1/12", "0", "2", "1/0", "x"],
-    "--precision": ["64", "63", "x"],
-    "--order": ["-1", "0", "1", "x"],
     "--format": FORMAT,
 }
+CURVE_FLAGS = {**WEIGHT_FLAGS, "--precision": ["64", "63", "x"],
+               "--order": ["-1", "0", "1", "x"]}
 # (g, n) pairs of the TR commands: the stable ones all have 2g - 2 + n = 1
 FORMS = [("0", "3"), ("1", "1"), ("0", "2"), ("0", "1"), ("2", "0"),
          ("-1", "3"), ("1", "-1"), ("x", "1"), ("1", "x")]
@@ -303,7 +306,7 @@ COMMANDS = {
                   "--L": ["-1", "0", "1", "2", "x"],
                   "--dump-residuals": None, "--format": FORMAT},
     "loop-check": CURVE_FLAGS,
-    "phi-fit": {"--m-cap": ["-1", "0", "1", "6", "x"], **CURVE_FLAGS},
+    "phi-fit": WEIGHT_FLAGS,
     "closed-forms": {"--d": ["-1", "0", "1", "2", "3", "x"],
                      "--order": ["-1", "0", "1", "3", "6", "x"],
                      "--format": FORMAT},
@@ -347,9 +350,43 @@ def test_argv_fuzz_exit_codes(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
-def test_phi_fit_negative_m_cap_rejected(capsys):
-    # found by the argv fuzz: it was an AttributeError traceback
-    code, out, err = run(capsys, "phi-fit", "--g", "1", "--n", "1",
-                         "--m-cap", "-1")
+def test_phi_fit(capsys):
+    code, out, err = run(capsys, "phi-fit", "--g", "1", "--n", "1")
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        "g: 1", "n: 1", "degree_bound: 1", "box: 5", "equations: 5",
+        "unknowns: 4", "rank: 4", "verdict: PASS",
+        "  basis=phi[1,0] coefficient=-1/2400",
+        "  basis=phi[1,1] coefficient=1/2400",
+        "  basis=phi[2,0] coefficient=-1/2400",
+        "  basis=phi[2,1] coefficient=1/1200",
+    ]
+
+
+def test_phi_fit_fails_on_a_shifted_value(capsys, monkeypatch):
+    ph = PruningTransform.ph
+
+    def shifted(self, g, nu):
+        value = ph(self, g, nu)
+        if tuple(nu) == (3,):
+            value = value + WeightPolynomial.rational(Fraction(1, 10 ** 30), 2)
+        return value
+
+    monkeypatch.setattr(PruningTransform, "ph", shifted)
+    code, out, err = run(capsys, "phi-fit", "--g", "1", "--n", "1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and not err
+    assert payload["verdict"] == "FAIL" and payload["rows"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--g", "1", "--n", "0"], "forms need g >= 0 and n >= 1, got (g, n) = (1, 0)"),
+    (["--g", "0", "--n", "2"], "stable forms require 2g - 2 + n > 0"),
+    (["--g", "1", "--n", "1", "--q", "1,0"],
+     "q_d must be nonzero (P must have degree exactly d)"),
+    (["--g", "1", "--n", "1", "--s", "0"], "s must be nonzero"),
+])
+def test_phi_fit_rejects_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, "phi-fit", *argv)
     assert code == 2 and not out
-    assert err == "error: m_cap must be >= 0, got -1\n"
+    assert err == f"error: {message}\n"

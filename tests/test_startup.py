@@ -49,7 +49,8 @@ print("cutjoin", loaded("numpy", "dhtr.curve", "dhtr.toprec", "dhtr.oracle",
 from dhtr.cli import main
 for argv in (["dh", "--g", "1", "--mu", "3,2"], ["ph", "--g", "1", "--mu", "2,1"],
              ["table", "A"], ["oracle", "--g", "0", "--mu", "2,1"],
-             ["qc-verify", "--d", "2", "--K", "4", "--L", "1"]):
+             ["qc-verify", "--d", "2", "--K", "4", "--L", "1"],
+             ["phi-fit", "--g", "1", "--n", "1"]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -74,6 +75,7 @@ def test_commands_import_only_what_they_run():
         "table 0 []",
         "oracle 0 []",
         "qc-verify 0 []",
+        "phi-fit 0 ['dhtr.curve']",
         "tr-verify 0 ['dhtr.toprec', 'numpy']",
     ]
 

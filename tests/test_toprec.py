@@ -1,12 +1,13 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import mpmath
 import pytest
 
-from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact
+from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit
 from dhtr.cutjoin import DHTable
+from dhtr.pruning import PruningTransform
 from dhtr.series import Series, SeriesRing, TruncationError
 from dhtr.toprec import RecursionEngine
 from dhtr.weightpoly import WeightPolynomial
@@ -178,18 +179,63 @@ def test_loop_equations(engine):
         assert report.ok, (g, n, report.worst)
 
 
-def test_phi_decomposition(engine):
-    fit11 = engine.phi_decompose(1, 1)
-    assert fit11.ok and fit11.m_cutoff == 1
-    with mpmath.workprec(engine.prec):
-        s = engine.curve.s
-        for i in (1, 2):
-            got1 = fit11.coefficients[((i, 1),)]
-            got0 = fit11.coefficients[((i, 0),)]
-            assert abs(got1 - s ** 2 / 24 * i * engine.curve.q[i - 1]) < 1e-60
-            assert abs(got0 + s ** 2 / 24 * engine.curve.q[i - 1]) < 1e-60
-    fit03 = engine.phi_decompose(0, 3, m_cap=1)
-    assert fit03.ok and fit03.m_cutoff == 0
+def _phi_fit(g, n, transform=None):
+    transform = transform or PruningTransform(DHTable(2))
+    return phi_fit(transform, [1, 1], Fraction(1, 10), g, n)
+
+
+def test_phi_decomposition():
+    # F_{1,1} = (s^2/24) sum_i (i q_i phi_1^i - q_i phi_0^i) at q = (1, 1)
+    fit11 = _phi_fit(1, 1)
+    assert fit11.ok and (fit11.degree_bound, fit11.unknowns, fit11.rank) == (1, 4, 4)
+    assert fit11.coefficients == {
+        ((1, 0),): Fraction(-1, 2400), ((1, 1),): Fraction(1, 2400),
+        ((2, 0),): Fraction(-1, 2400), ((2, 1),): Fraction(1, 1200)}
+    for g, n in [(0, 3), (1, 2)]:
+        fit = _phi_fit(g, n)
+        assert fit.ok and fit.rank == fit.unknowns < fit.equations, (g, n)
+
+
+def test_phi_fit_matches_recursion(engine):
+    # d phi_k = (w/z) phi_{k+1} dz, so the exact coefficients, differentiated
+    # slot by slot, must give the TR form's value
+    curve = engine.curve
+    basis = PhiBasis.for_curve(curve)
+    points = [mpmath.mpc("0.31", "0.12"), mpmath.mpc("-0.22", "0.27"),
+              mpmath.mpc("0.17", "-0.35")]
+    for g, n in [(1, 1), (0, 3), (1, 2)]:
+        fit = _phi_fit(g, n)
+        with mpmath.workprec(engine.prec):
+            for pts in (points[:n], (points[1:] + points[:1])[:n]):
+                total = 0
+                for combo, c in fit.coefficients.items():
+                    for order in set(permutations(combo)):
+                        term = engine.ring.from_rational(c)
+                        for (i, k), z in zip(order, pts):
+                            term *= curve.W(z) / z * basis.phi(i, k + 1)(z)
+                        total += term
+                omega = engine.form(g, n).evaluate(pts, curve.branch_points())
+                assert abs(total - omega) < abs(omega) * mpmath.mpf(10) ** -60, (g, n)
+
+
+class _ShiftedTransform(PruningTransform):
+    """PH with one value moved by 10^-30."""
+
+    def __init__(self, table, at):
+        super().__init__(table)
+        self.at = at
+
+    def ph(self, g, nu):
+        value = super().ph(g, nu)
+        if tuple(nu) == self.at:
+            value = value + WeightPolynomial.rational(Fraction(1, 10 ** 30), 2)
+        return value
+
+
+def test_phi_fit_rejects_a_shifted_value():
+    for (g, n), at in [((1, 1), (3,)), ((0, 3), (2, 1, 1)), ((1, 2), (4, 4))]:
+        fit = _phi_fit(g, n, _ShiftedTransform(DHTable(2), at))
+        assert not fit.consistent and not fit.ok and not fit.coefficients, (g, n)
 
 
 def test_conjecture_instances_and_stability(engine):
