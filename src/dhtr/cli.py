@@ -20,14 +20,16 @@ ValueError: malformed input, or input out of range or past a cap), 3 could
 not compute (an ArithmeticError such as a non-finite series coefficient, a
 branch point that does not polish, a division by zero, or an oracle that
 fails its golden normalization check; or a RuntimeError such as a
-RecursionError).  A computation that breaks down is never reported as a
-failed verdict.
+RecursionError), 141 stdout closed by its reader (a broken pipe, as in
+`dhtr phi-fit --g 2 --n 2 | head -1`; 128 + SIGPIPE, no traceback).  A
+computation that breaks down is never reported as a failed verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -79,9 +81,6 @@ def _add_curve_flags(parser):
     _add_weight_flags(parser)
     parser.add_argument("--precision", type=int, default=256,
                         help="working precision in bits")
-    parser.add_argument("--order", type=int, default=0,
-                        help="extra truncation orders on top of the default "
-                             "local window (6g+2n-4)+4")
 
 
 def _emit_report(payload: dict, fmt: str) -> None:
@@ -207,7 +206,7 @@ def cmd_tr_verify(args) -> int:
     from .toprec import RecursionEngine
 
     curve = _curve_from_args(args)
-    engine = RecursionEngine(curve, extra_order=args.order)
+    engine = RecursionEngine(curve)
     tol = mpmath.mpf(args.tolerance) if args.tolerance else None
     if (args.g, args.n) == (0, 2):
         report = engine.omega02_origin_check(args.mu_max, tolerance=tol)
@@ -268,7 +267,7 @@ def cmd_loop_check(args) -> int:
     from .toprec import RecursionEngine
 
     curve = _curve_from_args(args)
-    engine = RecursionEngine(curve, extra_order=args.order)
+    engine = RecursionEngine(curve)
     report = engine.loop_equation_check(args.g, args.n)
     payload = {"g": args.g, "n": args.n,
                "worst_principal_part": _nstr(report.worst),
@@ -399,7 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: stdout goes nowhere, so the flush at exit
+        # stays quiet, and the exit status is a shell's 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

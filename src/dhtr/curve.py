@@ -24,7 +24,7 @@ from math import comb, prod
 import mpmath
 
 from .cutjoin import DHTable
-from .pruning import PruningTransform, p_series, x_of_z, x_of_z_series
+from .pruning import PruningKernel, PruningTransform, p_series, x_of_z, x_of_z_series
 from .series import ComplexRing, Poly, RationalRing, Series, SeriesRing
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
@@ -256,29 +256,13 @@ def invert_x_exact(d_max: int, order: int, cap: int = 12) -> Series:
 
 
 def a_mu_coefficient(i: int, mu: int, d_max: int) -> WeightPolynomial:
-    """A_mu^i = i * sum over partitions lambda of mu - i (parts <= d_max) of
-    mu^(len(lambda)-1) / |Aut lambda| * q_lambda * s^len(lambda); these are
-    the coefficients of z^i = sum_mu A_mu^i x^mu."""
+    """A_mu^i, the coefficient of x^mu in z^i = sum_mu A_mu^i x^mu; by
+    Lagrange inversion it is the pruning kernel C(mu, i) = i * sum over
+    partitions lambda of mu - i (parts <= d_max) of mu^(len(lambda)-1) /
+    |Aut lambda| * q_lambda * s^len(lambda)."""
     if i < 1:
         raise ValueError("i must be positive")
-    if mu < i:
-        return WeightPolynomial.zero(d_max)
-    if mu == i:
-        return WeightPolynomial.one(d_max)
-    from .oracle import partitions_of
-
-    total = WeightPolynomial.zero(d_max)
-    for lam in partitions_of(mu - i, d_max):
-        length = len(lam)
-        aut = 1
-        run = 1
-        for k in range(1, length):
-            run = run + 1 if lam[k] == lam[k - 1] else 1
-            aut *= run if lam[k] == lam[k - 1] else 1
-        coeff = Fraction(i) * Fraction(mu) ** (length - 1) / aut
-        total = total + WeightPolynomial.q_partition(lam, d_max, coeff=coeff,
-                                                     s_exponent=length)
-    return total
+    return PruningKernel(d_max).c(mu, i)
 
 
 # ----------------------------------------------------------------------

@@ -5,19 +5,23 @@ without leaves; at the level of the polynomials this is a triangular change
 of basis along each insertion:
 
     C(mu, nu)    = (nu/mu) [z^(mu-nu)] exp(mu s P(z)),
-    Chat(nu, mu) = (mu/nu) [z^(nu-mu)] (1 - s z P'(z)) exp(-mu s P(z)),
+    Chat(nu, mu) = [z^nu] x(z)^mu = [z^(nu-mu)] exp(-mu s P(z)),
 
 with PH(nu) = sum_{mu <= nu} DH(mu) prod Chat(nu_i, mu_i) and the forward
-sum inverse to it.  Equivalently, PH coefficients are the z-expansion
+sum inverse to it.  Both kernels read one closed form: [z^k] exp(t s P(z))
+is the sum over the partitions lambda of k with parts <= d_max of
+(t s)^len(lambda) q_lambda / prod_i m_i!, where m_i is the multiplicity of
+the part i in lambda.  Equivalently, PH coefficients are the z-expansion
 coefficients of the free energies after substituting x = z exp(-s P(z)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from math import factorial, prod
 
 from .cutjoin import DHTable, canonical_mu
+from .oracle import partitions_of
 from .series import Series
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
@@ -28,14 +32,6 @@ def p_series(ring: WeightPolyRing, order: int) -> Series:
     """P(z) = q_1 z + ... + q_d z^d as a series over weight polynomials."""
     d = ring.d_max
     coeffs = [ring.zero] + [WeightPolynomial.q(i, d) for i in range(1, d + 1)]
-    return Series.from_coeffs(ring, "z", coeffs[:order], order)
-
-
-def zp_prime_series(ring: WeightPolyRing, order: int) -> Series:
-    """z P'(z) = sum i q_i z^i, built exactly (a polynomial loses no
-    truncation order to the derivative rule)."""
-    d = ring.d_max
-    coeffs = [ring.zero] + [WeightPolynomial.q(i, d).scale(i) for i in range(1, d + 1)]
     return Series.from_coeffs(ring, "z", coeffs[:order], order)
 
 
@@ -50,31 +46,26 @@ def x_of_z_series(d_max: int, order: int) -> Series:
 
 
 class PruningKernel:
-    """Cached triangular kernels C and Chat for one d_max."""
+    """The triangular kernels C and Chat for one d_max, read from the
+    closed-form coefficients of exp(t s P(z)), memoized per (t, k)."""
 
     def __init__(self, d_max: int):
         self.d_max = d_max
         self.ring = WeightPolyRing(d_max)
-        self._exp_cache: dict[tuple[int, int], Series] = {}
-        self._chat_cache: dict[tuple[int, int], Series] = {}
+        self._exp_memo: dict[tuple[int, int], WeightPolynomial] = {}
 
-    def _exp_series(self, mu: int, order: int) -> Series:
-        key = (mu, order)
-        if key not in self._exp_cache:
-            p = p_series(self.ring, order)
-            s = WeightPolynomial.s(self.d_max)
-            self._exp_cache[key] = p.scale(s).scale(mu).exp()
-        return self._exp_cache[key]
-
-    def _chat_series(self, mu: int, order: int) -> Series:
-        key = (mu, order)
-        if key not in self._chat_cache:
-            p = p_series(self.ring, order)
-            s = WeightPolynomial.s(self.d_max)
-            one = Series.constant(self.ring, "z", self.ring.one, order)
-            damp = one - zp_prime_series(self.ring, order).scale(s)
-            self._chat_cache[key] = damp * p.scale(s).scale(-mu).exp()
-        return self._chat_cache[key]
+    def _exp_coefficient(self, t: int, k: int) -> WeightPolynomial:
+        """[z^k] exp(t s P(z)) = sum over partitions lambda of k (parts
+        <= d_max) of (t s)^len(lambda) q_lambda / prod_i m_i!."""
+        key = (t, k)
+        if key not in self._exp_memo:
+            total = self.ring.zero
+            for lam in partitions_of(k, self.d_max):
+                aut = prod(factorial(lam.count(part)) for part in set(lam))
+                total = total + WeightPolynomial.q_partition(
+                    lam, self.d_max, Fraction(t ** len(lam), aut), len(lam))
+            self._exp_memo[key] = total
+        return self._exp_memo[key]
 
     def c(self, mu: int, nu: int) -> WeightPolynomial:
         """C(mu, nu); zero above the diagonal, one on it."""
@@ -82,8 +73,7 @@ class PruningKernel:
             raise ValueError("nu must be positive")
         if nu > mu:
             return self.ring.zero
-        series = self._exp_series(mu, mu - nu + 1)
-        return series.coefficient(mu - nu).scale(Fraction(nu, mu))
+        return self._exp_coefficient(mu, mu - nu).scale(Fraction(nu, mu))
 
     def chat(self, nu: int, mu: int) -> WeightPolynomial:
         """Chat(nu, mu); zero above the diagonal, one on it."""
@@ -91,8 +81,7 @@ class PruningKernel:
             raise ValueError("mu must be positive")
         if mu > nu:
             return self.ring.zero
-        series = self._chat_series(mu, nu - mu + 1)
-        return series.coefficient(nu - mu).scale(Fraction(mu, nu))
+        return self._exp_coefficient(-mu, nu - mu)
 
 
 class PruningTransform:
@@ -146,25 +135,23 @@ class PruningTransform:
 
 
 def _box_sum(ring, outer: tuple[int, ...], value, weight):
-    """sum over the boxes inner of outer of value(inner) times the product
-    of weight(outer_i, inner_i), skipping zero values and zero partial
-    products."""
-    total = ring.zero
-    for inner in _boxes(outer):
-        v = value(inner)
-        if v.is_zero():
-            continue
-        factor = ring.one
-        for o_i, i_i in zip(outer, inner):
-            factor = factor * weight(o_i, i_i)
-            if factor.is_zero():
-                break
-        if not factor.is_zero():
-            total = total + v * factor
-    return total
+    """sum over the boxes inner (1 <= inner_i <= outer_i) of value(inner)
+    times prod_i weight(outer_i, inner_i), contracted one axis at a time:
+    for each prefix of inner, the remaining slots are summed first, and
+    zero weights and zero partial sums are skipped."""
 
+    def contract(prefix: tuple[int, ...]):
+        if len(prefix) == len(outer):
+            return value(prefix)
+        o_i = outer[len(prefix)]
+        total = ring.zero
+        for i_i in range(1, o_i + 1):
+            w = weight(o_i, i_i)
+            if w.is_zero():
+                continue
+            part = contract(prefix + (i_i,))
+            if not part.is_zero():
+                total = total + w * part
+        return total
 
-def _boxes(nu: tuple[int, ...]):
-    """All tuples mu with 1 <= mu_i <= nu_i, the first slot varying fastest."""
-    for combo in product(*(range(1, n + 1) for n in reversed(nu))):
-        yield combo[::-1]
+    return contract(())

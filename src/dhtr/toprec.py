@@ -38,9 +38,6 @@ class CorrelationForm:
     coeffs: dict[tuple, object]
     asymmetry: float = 0.0
 
-    def max_pole_order(self) -> int:
-        return max((k + 1 for idx in self.coeffs for (_, k) in idx), default=0)
-
     def scale(self):
         return max((abs(c) for c in self.coeffs.values()), default=mpmath.mpf(0))
 
@@ -248,8 +245,9 @@ class RecursionEngine:
                 e = frame.kernel * series
                 if e.order < 1:
                     raise TruncationError(
-                        f"local window exhausted at branch point "
-                        f"{frame.index}; raise the truncation order"
+                        f"local window {window} exhausted at branch point "
+                        f"{frame.index}; omega_{{{g},{n}}} needs a window "
+                        f"of (6g+2n-4)+4 = {6 * g + 2 * n}"
                     )
                 for k1 in range(0, -e.lo):
                     value = e.coefficient(-1 - k1)
@@ -323,31 +321,6 @@ class RecursionEngine:
             series = basis.element(label, at_sigma).scale(c)
             out[key] = out[key] + series if key in out else series
         return out
-
-    # ------------------------------------------------------------------
-    # base-case differentials as local data
-
-    def omega01_local(self, bp_index: int, order: int) -> Series:
-        """omega_{0,1} = y dx / x = P(z)(1/z - s P'(z)) dz expanded at the
-        branch point: the returned series multiplies du."""
-        with mpmath.workprec(self.prec):
-            return self.curve.frames(order)[bp_index].omega01
-
-    def kernel_inverse_local(self, bp_index: int, order: int) -> Series:
-        """1 / (omega_{0,1}(z) - omega_{0,1}(sigma(z))) at the branch point;
-        a Laurent series starting at u^-2 (the zero is of order exactly
-        two for a simple branch point)."""
-        with mpmath.workprec(self.prec):
-            return self.curve.frames(order)[bp_index].kernel
-
-    def omega02_local_coefficient(self, bp_index: int, order: int, k: int) -> Series:
-        """u-dependence of omega_{0,2}(a_i + u, z_j) paired with the
-        spectator basis element dz_j/(z_j - a_i)^(k+2): the geometric
-        expansion of the Cauchy kernel gives the monomial (k+1) u^k."""
-        with mpmath.workprec(self.prec):
-            frame = self.curve.frames(order)[bp_index]
-            basis = _Basis(frame, self.curve.branch_points(), order)
-            return basis.element((bp_index, -k)).scale(k + 1)
 
     # ------------------------------------------------------------------
     # closed forms

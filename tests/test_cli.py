@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,8 @@ from dhtr.curve import SpectralCurve
 from dhtr.cutjoin import DHTable
 from dhtr.pruning import PruningTransform
 from dhtr.weightpoly import WeightPolynomial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -189,13 +195,6 @@ def test_non_integer_mu_prints_error(capsys):
                            "positive integers")
 
 
-def test_negative_extra_order_rejected(capsys):
-    code, _, err = run(capsys, "tr-verify", "--g", "0", "--n", "3",
-                       "--order", "-30")
-    assert code == 2
-    assert err.startswith("error: extra truncation order must be >= 0")
-
-
 def test_window_below_one_rejected(capsys):
     # (6g+2n-4)+4 = 0 at (g, n) = (-3, 9): a usage error, not a
     # truncation error at an empty window; the negative genus is caught
@@ -260,6 +259,20 @@ def test_oracle_degree_cap_is_a_usage_error(capsys):
     assert err == "error: degree 17 exceeds the oracle cap 16\n"
 
 
+def test_closed_stdout_exits_141_without_traceback():
+    # a reader that went away (`dhtr ... | head -1`) is neither a failed
+    # verdict nor a crash: exit 128 + SIGPIPE, nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dhtr.cli", "dh", "--g", "0",
+                               "--mu", "2,1"], stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_runtime_error_exits_three(capsys, monkeypatch):
     # a RuntimeError (here a RecursionError) is "could not compute", not
     # a usage error: exit 3 with one error line
@@ -285,8 +298,7 @@ WEIGHT_FLAGS = {
     "--s": ["1/10", "-1/12", "0", "2", "1/0", "x"],
     "--format": FORMAT,
 }
-CURVE_FLAGS = {**WEIGHT_FLAGS, "--precision": ["64", "63", "x"],
-               "--order": ["-1", "0", "1", "x"]}
+CURVE_FLAGS = {**WEIGHT_FLAGS, "--precision": ["64", "63", "x"]}
 # (g, n) pairs of the TR commands: the stable ones all have 2g - 2 + n = 1
 FORMS = [("0", "3"), ("1", "1"), ("0", "2"), ("0", "1"), ("2", "0"),
          ("-1", "3"), ("1", "-1"), ("x", "1"), ("1", "x")]

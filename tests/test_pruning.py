@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dhtr.cutjoin import DHTable
-from dhtr.pruning import PruningKernel, PruningTransform, x_of_z_series
+from dhtr.pruning import PruningKernel, PruningTransform, p_series, x_of_z_series
+from dhtr.series import Series
 from dhtr.tables import load_golden
 from dhtr.weightpoly import WeightPolynomial
 
@@ -40,6 +41,26 @@ def test_kernel_small_values():
     assert kernel.c(3, 1) == q2 * s + (q1 * q1 * s * s).scale(Fraction(3, 2))
     # Chat(2,1) = (1/2)[z](1 - szP')exp(-sP) = -s q1
     assert kernel.chat(2, 1) == (q1 * s).scale(-1)
+
+
+def test_kernels_match_series_expansions():
+    # the closed-form kernels against series arithmetic:
+    # Chat(nu, mu) = [z^nu] x(z)^mu and C(mu, nu) = (nu/mu)[z^(mu-nu)] exp(mu s P)
+    size = 10
+    for d_max in range(1, 5):
+        kernel = PruningKernel(d_max)
+        xz = x_of_z_series(d_max, size + 1)
+        p = p_series(kernel.ring, size)
+        s = WeightPolynomial.s(d_max)
+        x_mu = Series.constant(kernel.ring, "z", kernel.ring.one, size + 1)
+        for mu in range(1, size + 1):
+            x_mu = x_mu * xz
+            exp_mu = p.scale(s.scale(mu)).exp()
+            for nu in range(1, size + 1):
+                assert kernel.chat(nu, mu) == x_mu.coefficient(nu), (d_max, nu, mu)
+                expected = (exp_mu.coefficient(mu - nu).scale(Fraction(nu, mu))
+                            if nu <= mu else kernel.ring.zero)
+                assert kernel.c(mu, nu) == expected, (d_max, mu, nu)
 
 
 def test_kernel_matrix_inverse_pair():
