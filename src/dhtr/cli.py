@@ -16,7 +16,9 @@ Each handler imports the engines it runs, so `dh`, `ph`, `table`, `oracle`,
 `qc-verify` and `phi-fit` start without the TR engine or numpy.
 
 Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error (a
-ValueError: malformed input, or input out of range or past a cap), 3 could
+ValueError: malformed input, or input out of range or past a cap; this
+includes a `tr-verify --tolerance` that is not finite and in (0, 1), as
+such a bound passes every row or none), 3 could
 not compute (an ArithmeticError such as a non-finite series coefficient, a
 branch point that does not polish, a division by zero, or an oracle that
 fails its golden normalization check; or a RuntimeError such as a
@@ -46,17 +48,14 @@ def _parse_mu(text: str) -> tuple[int, ...]:
     except ValueError:
         mu = ()
     if not mu or any(p < 1 for p in mu):
-        print("error: mu must be a comma-separated list of positive integers",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("mu must be a comma-separated list of positive integers")
     return mu
 
 
 def _parse_q(text: str, d: int) -> list[Fraction]:
     parts = [parse_rational(p) for p in text.split(",")]
     if len(parts) != d:
-        print(f"error: expected {d} weights, got {len(parts)}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"expected {d} weights, got {len(parts)}")
     return parts
 
 
@@ -103,35 +102,23 @@ def _nstr(x, digits=12) -> str:
 # commands
 
 
-def cmd_dh(args) -> int:
+def cmd_polynomial(args) -> int:
+    """`dh`, or `ph` (args.pruned): one double Hurwitz polynomial."""
     from .cutjoin import DHTable
     from .tables import render_polynomial_s1
 
     mu = _parse_mu(args.mu)
     d = args.d or sum(mu)
     table = DHTable(d)
-    poly = table.dh(args.g, mu)
-    if args.format == "json":
-        print(json.dumps({"g": args.g, "mu": list(mu), "d": d,
-                          "poly": poly.to_json()}, indent=1))
-    elif args.s_poly:
-        print(poly.pretty(show_s=True))
+    if args.pruned:
+        from .pruning import PruningTransform
+
+        poly = PruningTransform(table).ph(args.g, mu)
     else:
-        print(render_polynomial_s1(poly))
-    return 0
-
-
-def cmd_ph(args) -> int:
-    from .cutjoin import DHTable
-    from .pruning import PruningTransform
-    from .tables import render_polynomial_s1
-
-    mu = _parse_mu(args.mu)
-    d = args.d or sum(mu)
-    transform = PruningTransform(DHTable(d))
-    poly = transform.ph(args.g, mu)
+        poly = table.dh(args.g, mu)
     if args.format == "json":
-        print(json.dumps({"g": args.g, "mu": list(mu), "d": d, "pruned": True,
+        pruned = {"pruned": True} if args.pruned else {}
+        print(json.dumps({"g": args.g, "mu": list(mu), "d": d, **pruned,
                           "poly": poly.to_json()}, indent=1))
     elif args.s_poly:
         print(poly.pretty(show_s=True))
@@ -141,31 +128,22 @@ def cmd_ph(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .cutjoin import DHTable
-    from .pruning import PruningTransform
-    from .tables import (GOLDEN_D_MAX, diff_table, load_golden, render_rows_csv,
-                         render_rows_json, render_rows_text)
+    from .tables import (diff_table, regenerate, render_rows_csv, render_rows_json,
+                         render_rows_text)
 
     name = args.table.upper()
     if name not in ("A", "B"):
         print("error: table must be A or B", file=sys.stderr)
         return 2
-    table = DHTable(GOLDEN_D_MAX)
-    rows = []
-    if name == "A":
-        for row in load_golden("A"):
-            rows.append((row.g, row.mu, table.dh(row.g, row.mu)))
-    else:
-        transform = PruningTransform(table)
-        for row in load_golden("B"):
-            rows.append((row.g, row.mu, transform.ph(row.g, row.mu)))
+    regenerated = list(regenerate(name))
+    rows = [(row.g, row.mu, poly) for row, poly in regenerated]
     if args.format == "json":
         print(render_rows_json(rows))
     elif args.format == "csv":
         print(render_rows_csv(rows))
     else:
         print(render_rows_text(rows))
-    diff = diff_table(name, table)
+    diff = diff_table(name, regenerated)
     if diff.ok:
         print(f"table {name}: {diff.row_count} rows, all equal", file=sys.stderr)
         return 0
@@ -207,7 +185,7 @@ def cmd_tr_verify(args) -> int:
 
     curve = _curve_from_args(args)
     engine = RecursionEngine(curve)
-    tol = mpmath.mpf(args.tolerance) if args.tolerance else None
+    tol = None if args.tolerance is None else mpmath.mpf(args.tolerance)
     if (args.g, args.n) == (0, 2):
         report = engine.omega02_origin_check(args.mu_max, tolerance=tol)
     else:
@@ -330,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-poly", action="store_true",
                    help="show the full s-grading instead of s = 1")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_dh)
+    p.set_defaults(func=cmd_polynomial, pruned=False)
 
     p = sub.add_parser("ph", help="one pruned double Hurwitz polynomial")
     p.add_argument("--g", type=int, required=True)
@@ -338,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=0)
     p.add_argument("--s-poly", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_ph)
+    p.set_defaults(func=cmd_polynomial, pruned=True)
 
     p = sub.add_parser("table", help="regenerate golden table A or B and diff")
     p.add_argument("table", help="A (double Hurwitz) or B (pruned)")

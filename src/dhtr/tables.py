@@ -73,11 +73,11 @@ def load_golden(table: str) -> tuple[GoldenRow, ...]:
     return tuple(rows)
 
 
-def regenerate(table: str, dh_table: DHTable | None = None):
+def regenerate(table: str):
     """Recompute every golden row with the engines; yields
     (row, computed WeightPolynomial)."""
     rows = load_golden(table)
-    dh_table = dh_table or DHTable(GOLDEN_D_MAX)
+    dh_table = DHTable(GOLDEN_D_MAX)
     if table == "A":
         for row in rows:
             yield row, dh_table.dh(row.g, row.mu)
@@ -89,9 +89,11 @@ def regenerate(table: str, dh_table: DHTable | None = None):
             yield row, transform.ph(row.g, row.mu)
 
 
-def diff_table(table: str, dh_table: DHTable | None = None) -> TableDiff:
+def diff_table(table: str, regenerated=None) -> TableDiff:
+    """Diff the (row, computed) pairs of `regenerate(table)`, computed here
+    unless given."""
     diff = TableDiff(table=table)
-    for row, computed in regenerate(table, dh_table):
+    for row, computed in regenerate(table) if regenerated is None else regenerated:
         diff.row_count += 1
         got = computed.at_s_one()
         if got != row.coeffs:

@@ -16,8 +16,8 @@ diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from dataclasses import dataclass
+from itertools import combinations, product
 from math import prod
 
 import mpmath
@@ -41,17 +41,6 @@ class CorrelationForm:
     def scale(self):
         return max((abs(c) for c in self.coeffs.values()), default=mpmath.mpf(0))
 
-    def slot_profile(self, spectators: tuple) -> dict[tuple[int, int], object]:
-        """Coefficients of the first slot for a fixed spectator multi-index."""
-        out = {}
-        for idx, c in self.coeffs.items():
-            if idx[1:] == spectators:
-                out[idx[0]] = c
-        return out
-
-    def spectator_keys(self):
-        return sorted({idx[1:] for idx in self.coeffs})
-
     def evaluate(self, points, roots):
         """Value of the form at numeric points (coefficient of prod dz_j)."""
         if len(points) != self.n:
@@ -65,14 +54,15 @@ class CorrelationForm:
         return total
 
     def check_symmetry(self):
-        """Largest relative asymmetry under slot permutations."""
+        """Largest relative asymmetry under the swap (0 1) and the n-cycle,
+        which generate every permutation of the slots."""
         scale = self.scale()
         if not scale or self.n == 1:
             return 0.0
         worst = mpmath.mpf(0)
-        for perm in permutations(range(self.n)):
-            if perm == tuple(range(self.n)):
-                continue
+        swap = (1, 0) + tuple(range(2, self.n))
+        cycle = tuple(range(1, self.n)) + (0,)
+        for perm in {swap, cycle}:  # one permutation at n = 2
             for idx, c in self.coeffs.items():
                 permuted = tuple(idx[p] for p in perm)
                 other = self.coeffs.get(permuted, mpmath.mpc(0))
@@ -95,7 +85,6 @@ class VerifyReport:
     n: int
     rows: list[VerifyRow]
     tolerance: object
-    stability: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -112,7 +101,6 @@ class LoopCheckReport:
     n: int
     worst: object
     tolerance: object
-    details: list
 
     @property
     def ok(self) -> bool:
@@ -203,6 +191,14 @@ class RecursionEngine:
     def default_tolerance(self):
         return mpmath.mpf(10) ** (-self.prec // 4)
 
+    def _tolerance(self, tolerance):
+        """The default, or a given bound if it is finite and in (0, 1)."""
+        if tolerance is None:
+            return self.default_tolerance()
+        if not (mpmath.isfinite(tolerance) and 0 < tolerance < 1):
+            raise ValueError(f"tolerance must be finite and in (0, 1), got {tolerance}")
+        return tolerance
+
     # ------------------------------------------------------------------
     # the recursion
 
@@ -284,43 +280,49 @@ class RecursionEngine:
                               * basis.element(_label(idx[1]), at_sigma=True))
                     add(idx[2:], series.scale(c))
 
-        # product terms over ordered stable splits
+        # product terms over ordered stable splits.  A factor depends on its
+        # r spectator slots only through r: it is grouped once per shape, and
+        # each product formed once per r.  The loop order r, subset, g1, sp1,
+        # sp2 fixes the order in which every block adds its terms.
+        groups: dict[tuple, dict[tuple, Series]] = {}
+
+        def group(genus: int, arity: int, at_sigma: bool) -> dict[tuple, Series]:
+            """omega_{genus, arity} with its first argument at z (or
+            sigma(z)), as {spectator pole indices: u-series}."""
+            shape = (genus, arity, at_sigma)
+            if shape not in groups:
+                if (genus, arity) == (0, 2):
+                    i = basis.frame.index
+                    terms = [((i, -k), ((i, k + 1),), self.ring.from_rational(k + 1))
+                             for k in range(k02_max + 1)]
+                else:
+                    terms = [(_label(idx[0]), idx[1:], c)
+                             for idx, c in self.form(genus, arity).coeffs.items()]
+                out = groups[shape] = {}
+                for label, spect, c in terms:
+                    series = basis.element(label, at_sigma).scale(c)
+                    out[spect] = out[spect] + series if spect in out else series
+            return groups[shape]
+
         spect_slots = tuple(range(2, n + 1))
-        for r in range(len(spect_slots) + 1):
+        for r in range(n):
+            products: dict[tuple, Series] = {}
             for subset in combinations(spect_slots, r):
                 complement = tuple(s for s in spect_slots if s not in subset)
                 for g1 in range(g + 1):
                     g2 = g - g1
-                    if (g1 == 0 and not subset) or (g2 == 0 and not complement):
+                    if (g1 == 0 and r == 0) or (g2 == 0 and r == n - 1):
                         continue  # omega_{0,1} factors are excluded
-                    f1 = self._factor(g1, subset, basis, k02_max, at_sigma=False)
-                    f2 = self._factor(g2, complement, basis, k02_max, at_sigma=True)
-                    for as1, s1 in f1.items():
-                        for as2, s2 in f2.items():
-                            assignment = dict(as1)
-                            assignment.update(as2)
-                            key = tuple(assignment[s] for s in spect_slots)
-                            add(key, s1 * s2)
+                    f1 = group(g1, r + 1, False)
+                    f2 = group(g2, n - r, True)
+                    for sp1, s1 in f1.items():
+                        for sp2, s2 in f2.items():
+                            shape = (g1, sp1, sp2)
+                            if shape not in products:
+                                products[shape] = s1 * s2
+                            slot_index = dict(zip(subset + complement, sp1 + sp2))
+                            add(tuple(slot_index[s] for s in spect_slots), products[shape])
         return blocks
-
-    def _factor(self, g: int, slots: tuple[int, ...], basis: _Basis,
-                k02_max: int, at_sigma: bool):
-        """One factor of the quadratic term: omega_{g, len(slots)+1} with
-        the running argument at z (or sigma(z)) and the given spectator
-        slots; returns {(slot, index) assignments: u-series}."""
-        if g == 0 and len(slots) == 1:
-            i = basis.frame.index
-            terms = [((i, -k), ((i, k + 1),), self.ring.from_rational(k + 1))
-                     for k in range(k02_max + 1)]
-        else:
-            inner = self.form(g, len(slots) + 1)
-            terms = [(_label(idx[0]), idx[1:], c) for idx, c in inner.coeffs.items()]
-        out: dict[tuple, Series] = {}
-        for label, spect, c in terms:
-            key = tuple(zip(slots, spect))
-            series = basis.element(label, at_sigma).scale(c)
-            out[key] = out[key] + series if key in out else series
-        return out
 
     # ------------------------------------------------------------------
     # closed forms
@@ -410,7 +412,7 @@ class RecursionEngine:
         recursion values specialized at this curve's weights."""
         if mu_max < 1:
             raise ValueError(f"mu_max must be at least 1, got {mu_max}")
-        tolerance = tolerance if tolerance is not None else self.default_tolerance()
+        tolerance = self._tolerance(tolerance)
         with mpmath.workprec(self.prec):
             form = self.form(g, n)
             predicted = self.expand_at_origin(form, mu_max)
@@ -440,7 +442,7 @@ class RecursionEngine:
         Q = (x1-x2)/(z1-z2))."""
         if mu_max < 1:
             raise ValueError(f"mu_max must be at least 1, got {mu_max}")
-        tolerance = tolerance if tolerance is not None else self.default_tolerance()
+        tolerance = self._tolerance(tolerance)
         with mpmath.workprec(self.prec):
             ring = self.ring
             n = mu_max + 1
@@ -471,16 +473,19 @@ class RecursionEngine:
         analytic at every branch point.  F is recovered from the pole basis
         by termwise integration (log-free: simple-pole coefficients vanish
         for these forms)."""
-        tolerance = tolerance if tolerance is not None else self.default_tolerance()
+        tolerance = self._tolerance(tolerance)
         with mpmath.workprec(self.prec):
             form = self.form(g, n)
             window = self.window_for(g, n)
             frames = self.curve.frames(window)
             scale = form.scale()
             worst = mpmath.mpf(0)
-            details = []
-            for spect in form.spectator_keys():
-                profile = form.slot_profile(spect)
+            # the first slot's coefficients for each spectator multi-index;
+            # only the largest residual is kept, so their order is immaterial
+            profiles: dict[tuple, dict] = {}
+            for idx, c in form.coeffs.items():
+                profiles.setdefault(idx[1:], {})[idx[0]] = c
+            for profile in profiles.values():
                 for bp in frames:
                     terms = {k: c for (i, k), c in profile.items() if i == bp.index}
                     if not terms:
@@ -503,8 +508,7 @@ class RecursionEngine:
                         principal = max(principal, abs(sym.coefficient(e)))
                     rel = principal / f_scale if f_scale else mpmath.mpf(0)
                     worst = max(worst, rel)
-                    details.append((spect, bp.index, rel))
-            return LoopCheckReport(g, n, worst, tolerance, details)
+            return LoopCheckReport(g, n, worst, tolerance)
 
     # ------------------------------------------------------------------
     # stability

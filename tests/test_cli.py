@@ -154,6 +154,35 @@ def test_table_csv_format(capsys):
     assert "all equal" in err
 
 
+def test_table_b_computes_each_ph_once(capsys, monkeypatch):
+    # the printed rows and the diff come from one regeneration pass
+    calls = []
+    ph = PruningTransform.ph
+
+    def counted(self, g, mu):
+        calls.append((g, mu))
+        return ph(self, g, mu)
+
+    monkeypatch.setattr(PruningTransform, "ph", counted)
+    assert run(capsys, "table", "B")[0] == 0
+    assert len(calls) == 40
+
+
+def test_tr_verify_tolerance_outside_unit_interval_rejected(capsys):
+    # a bound of 1 or more, inf included, passes every row, and one of 0
+    # or less, or nan, passes none: both are usage errors, not verdicts
+    for value in ("-1", "0", "nan", "inf", "1"):
+        for n in ("3", "2"):
+            code, out, err = run(capsys, "tr-verify", "--g", "0", "--n", n,
+                                 "--mu-max", "1", "--tolerance", value)
+            assert code == 2 and not out, (value, n)
+            assert err.startswith("error: tolerance must be finite and in (0, 1)")
+            assert err.count("\n") == 1, (value, n)
+    # an empty value is malformed, not the default
+    code, out, err = run(capsys, "tr-verify", "--g", "0", "--n", "3", "--tolerance", "")
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_tr_verify_two_point_path(capsys):
     # (g, n) = (0, 2) dispatches to the two-point origin check
     code, out, _ = run(capsys, "tr-verify", "--g", "0", "--n", "2",

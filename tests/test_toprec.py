@@ -9,7 +9,7 @@ from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_f
 from dhtr.cutjoin import DHTable
 from dhtr.pruning import PruningTransform
 from dhtr.series import Series, SeriesRing, TruncationError
-from dhtr.toprec import RecursionEngine, _Basis
+from dhtr.toprec import CorrelationForm, RecursionEngine, _Basis
 from dhtr.weightpoly import WeightPolynomial
 
 
@@ -247,6 +247,14 @@ def test_conjecture_instances_and_stability(engine):
     assert stab["truncation_drift"] < stab["precision_tol"]
 
 
+def test_reach_past_euler_characteristic_three(engine):
+    # 2g - 2 + n = 3 at n = 5 and at genus one on the acceptance curve
+    for (g, n, mu_max), rows in [((0, 5, 2), 32), ((1, 3, 3), 27)]:
+        report = engine.verify_conjecture(g, n, mu_max=mu_max)
+        assert len(report.rows) == rows, (g, n)
+        assert report.ok, (g, n, report.max_residual)
+
+
 def test_reach_at_euler_characteristic_four(engine):
     # 2g - 2 + n = 4 on the acceptance curve
     for (g, n), rows in [((2, 2), 9), ((3, 1), 3)]:
@@ -285,6 +293,30 @@ def test_origin_expansion_matches_direct_loop(engine):
 def test_symmetry_of_forms(engine):
     for (g, n) in [(0, 3), (0, 4), (1, 2)]:
         assert engine.form(g, n).asymmetry < 1e-60, (g, n)
+
+
+def test_symmetry_check_catches_one_moved_coefficient(engine):
+    # check_symmetry compares under (0 1) and the n-cycle only.  (A, A, .., B)
+    # is fixed by (0 1), so only the cycle sees it move; the n rotations of
+    # (A, B, C, .., C), moved together, are fixed by the cycle, so only (0 1)
+    # sees them.  Existing coefficients with a nontrivial orbit are moved too.
+    def asymmetry_after_moving(form, indices):
+        coeffs = dict(form.coeffs)
+        delta = form.scale() * mpmath.mpf("1e-40")
+        for idx in indices:
+            coeffs[idx] = coeffs.get(idx, mpmath.mpc(0)) + delta
+        return CorrelationForm(form.g, form.n, coeffs).check_symmetry()
+
+    with mpmath.workprec(engine.prec):
+        for g, n in [(0, 3), (0, 4), (1, 3)]:
+            form = engine.form(g, n)
+            a, b, c = (0, 1), (0, 2), (0, 3)
+            rotated = (a, b) + (c,) * (n - 2)
+            moves = [[(a,) * (n - 1) + (b,)],
+                     [rotated[j:] + rotated[:j] for j in range(n)]]
+            moves += [[idx] for idx in list(form.coeffs)[::7] if len(set(idx)) > 1]
+            for indices in moves:
+                assert asymmetry_after_moving(form, indices) >= 1e-41, (g, n, indices)
 
 
 def test_no_simple_poles(engine):
