@@ -94,8 +94,8 @@ def _emit_report(payload: dict, fmt: str) -> None:
                 print(f"{key}: {value}")
 
 
-def _nstr(x, digits=12) -> str:
-    return mpmath.nstr(mpmath.mpf(abs(x)), digits)
+def _nstr(x) -> str:
+    return mpmath.nstr(mpmath.mpf(abs(x)), 12)
 
 
 # ----------------------------------------------------------------------

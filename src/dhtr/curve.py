@@ -9,7 +9,9 @@ truncated views of that build, which equal a fresh build bit for bit.  The
 module also hosts the x-inversion at the origin (numeric and exact), the
 partition-sum coefficients of z^i = sum A_mu^i x^mu, the phi basis spanning
 the space of loop-equation solutions, and exact series checks of the closed
-forms for the (0,1) and (0,2) generating functions.  `phi_fit` checks
+forms for the (0,1) and (0,2) generating functions.  The two-point
+coefficients are read off the powers z(x)^k and z(x)^-k of one-variable
+series (`two_point_coefficients`), over any ring.  `phi_fit` checks
 the polynomial structure of the pruned numbers exactly: F_{g,n} in z lies in
 the span of the phi products of bounded degree.
 """
@@ -25,14 +27,14 @@ import mpmath
 
 from .cutjoin import DHTable
 from .pruning import PruningKernel, PruningTransform, p_series, x_of_z, x_of_z_series
-from .series import ComplexRing, Poly, RationalRing, Series, SeriesRing
+from .series import ComplexRing, Poly, RationalRing, Series
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
 __all__ = [
     "CurveSpec", "BranchPointData", "SpectralCurve", "DegenerateCurveError",
     "a_mu_coefficient", "invert_x_exact", "PhiBasis", "RationalOverW",
     "PhiFitReport", "phi_fit", "f01_check", "f02_check", "CheckReport",
-    "log_difference_quotient",
+    "two_point_coefficients",
 ]
 
 
@@ -243,11 +245,11 @@ class SpectralCurve:
         return self._zx_cache[order]
 
 
-def invert_x_exact(d_max: int, order: int, cap: int = 12) -> Series:
-    """z(x) over weight polynomials (s symbolic); capped because exact
+def invert_x_exact(d_max: int, order: int) -> Series:
+    """z(x) over weight polynomials (s symbolic), to order 12: exact
     reversion cost grows quickly with the order."""
-    if order > cap:
-        raise ValueError(f"exact inversion order {order} exceeds cap {cap}")
+    if order > 12:
+        raise ValueError(f"exact inversion order {order} exceeds cap 12")
     return x_of_z_series(d_max, order + 1).reversion().rename("x")
 
 
@@ -464,104 +466,54 @@ def f01_check(d_max: int, order: int) -> CheckReport:
     return CheckReport("f01", ok, order, "" if ok else _first_series_diff(lhs, rhs))
 
 
+def two_point_coefficients(zx: Series, mu_max: int) -> dict[tuple[int, int], object]:
+    """[x1^m x2^n] log((z(x1) - z(x2)) / (x1 - x2)) for 1 <= m, n <= mu_max,
+    with z = zx(x), over zx's ring: the Grunsky coefficients of z,
+
+        -sum_{k=1}^{n} (1/k) [x^n] z^k [x^m] z^-k,
+
+    from d/dx2 log(z1 - z2) = -sum_k z2^k z2' / z1^(k+1); log(x1 - x2) has
+    no mixed coefficients with m >= 1.  [x^m] z^-k reads z through
+    x^(m+k+1), so zx needs the window 2 mu_max + 2; a shorter one raises
+    TruncationError."""
+    up, down = zx.truncate(mu_max + 1), zx.inverse()
+    pos, neg = up, down
+    out = {(m, n): zx.ring.zero for n in range(1, mu_max + 1) for m in range(1, mu_max + 1)}
+    for k in range(1, mu_max + 1):
+        weighted = neg.scale(Fraction(-1, k))
+        for n in range(k, mu_max + 1):
+            zk = pos.coefficient(n)
+            for m in range(1, mu_max + 1):
+                out[m, n] = out[m, n] + zk * weighted.coefficient(m)
+        if k < mu_max:
+            pos, neg = pos * up, neg * down
+    return out
+
+
 def f02_check(d_max: int, order: int) -> CheckReport:
     """The closed form of F_{0,2},
 
         -log((x_1 - x_2) / (z_1 - z_2)) - s P(z_1) - s P(z_2),
 
     with z_i = z(x_i), expanded at the origin, must reproduce DH_{0,2}
-    coefficient by coefficient (exact, bivariate via nested series)."""
+    coefficient by coefficient, exactly.  s P(z_i) has no mixed
+    coefficients, so the expansion is `two_point_coefficients` of the exact
+    z(x); both orderings of each pair are read against the symmetric
+    table, as the Grunsky form is not symmetric on its face."""
     if order < 1:
         raise ValueError(f"closed-form checks need order >= 1, got {order}")
     table = DHTable(d_max)
-    ring = WeightPolyRing(d_max)
-    n = order + 1
-    inner = SeriesRing(ring, "x1", n)
-    s = WeightPolynomial.s(d_max)
-
-    zx1 = x_of_z_series(d_max, n + 1).reversion().truncate(n).rename("x1")
-    # z(x)^a = O(x^a), so k in x = sum_k c_k z^k must run to 2*order + 1 to
-    # fill the window
-    log_quot = log_difference_quotient(x_of_z_series(d_max, 2 * n), zx1)
-
-    sp1 = p_series(ring, n).compose(zx1).scale(s)          # s P(z(x1))
-    sp2 = _lift_to_outer(inner, sp1, n)                    # s P(z(x2))
-    f02 = -log_quot - _outer_constant(inner, sp1, n) - sp2
-
-    ok, detail = True, ""
+    coeffs = two_point_coefficients(x_of_z_series(d_max, 2 * order + 2).reversion(), order)
     for mu2 in range(1, order + 1):
-        coeff_x1 = f02.coefficient(mu2)
         for mu1 in range(1, order + 1):
-            got = coeff_x1.coefficient(mu1)
-            want = table.dh(0, (mu1, mu2))
-            if got != want:
+            got = coeffs[mu1, mu2]
+            if got != table.dh(0, (mu1, mu2)):
                 return CheckReport("f02", False, order,
                                    f"first mismatch at (mu1, mu2) = ({mu1}, {mu2})")
             if not got.s_coefficient(0).is_zero():
                 return CheckReport("f02", False, order,
                                    f"nonzero s^0 part at ({mu1}, {mu2})")
-    return CheckReport("f02", ok, order, detail)
-
-
-def _powers(series: Series, order: int) -> list[Series]:
-    ring = series.ring
-    out = [Series.constant(ring, series.var, ring.one, order)]
-    for _ in range(order):
-        out.append((out[-1] * series).truncate(order))
-    return out
-
-
-def _difference_quotient(inner: SeriesRing, xz: Series, zx1: Series,
-                         n: int) -> Series:
-    """(x1 - x2)/(z1 - z2) = sum_k c_k sum_{a+b=k-1} z1^a z2^b for
-    x = sum_k c_k z^k, at z_i = z(x_i) with zx1 = z(x1): a series in x2 over
-    `inner`.  z(x)^a = O(x^a), so exponents a, b >= n contribute nothing
-    inside the window n."""
-    ring = xz.ring
-    pows1 = _powers(zx1, n)
-    pows2 = [_lift_to_outer(inner, p, n) for p in pows1]
-    quot = Series.zero(inner, "x2", n)
-    for k in range(1, xz.order):
-        ck = xz.coefficient(k)
-        if ring.is_zero(ck):
-            continue
-        for b in range(min(k, n)):
-            a = k - 1 - b
-            if a < n:
-                quot = quot + pows2[b].scale(pows1[a].scale(ck))
-    return quot
-
-
-def log_difference_quotient(xz: Series, zx1: Series) -> Series:
-    """log((x1 - x2)/(z1 - z2)) for x = xz(z), z1 = zx1(x1) and
-    z2 = zx1(x2): a series in x2 over series in x1, both to zx1's window.
-    The x2-constant term c0 (a unit inner series) is factored out; the
-    constant of the normalized quotient is exactly 1 mathematically and is
-    clamped to 1, a no-op over exact rings that drops the ulp of division
-    noise over mpc."""
-    n = zx1.order
-    inner = SeriesRing(zx1.ring, "x1", n)
-    quot = _difference_quotient(inner, xz, zx1, n)
-    c0 = quot.coefficient(0)
-    log_c0 = c0.log()
-    normalized = quot.div_scalar(c0)
-    normalized = Series(inner, "x2", 0, [inner.one] + normalized.coeffs[1:],
-                        normalized.order)
-    return normalized.log() + _outer_constant(inner, log_c0, n)
-
-
-def _outer_constant(inner: SeriesRing, value: Series, order: int) -> Series:
-    coeffs = [value] + [inner.zero] * (order - 1)
-    return Series(inner, "x2", 0, coeffs, order)
-
-
-def _lift_to_outer(inner: SeriesRing, series: Series, order: int) -> Series:
-    """Reinterpret an x1-series f as f(x2): a series in x2 whose
-    coefficients are constants of the inner ring."""
-    ring = series.ring
-    coeffs = [Series.constant(ring, "x1", series.coefficient(k), inner.order)
-              for k in range(order)]
-    return Series(inner, "x2", 0, coeffs, order)
+    return CheckReport("f02", True, order)
 
 
 def _first_series_diff(a: Series, b: Series) -> str:

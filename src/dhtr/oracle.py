@@ -137,9 +137,9 @@ def _merge(partition: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 # reference counter: depth-first enumeration with pruning
 
 
-def dfs_count(d: int, lam: tuple[int, ...], rho: tuple[int, ...], m: int,
-              require_transitive: bool = True) -> int:
-    """Enumerate transposition tuples one by one (small degree only)."""
+def dfs_count(d: int, lam: tuple[int, ...], rho: tuple[int, ...], m: int) -> int:
+    """Enumerate transitive transposition tuples one by one (small degree
+    only)."""
     transpositions = list(combinations(range(d), 2))
     target_cycles = cycle_count(rho)
     total = 0
@@ -150,10 +150,10 @@ def dfs_count(d: int, lam: tuple[int, ...], rho: tuple[int, ...], m: int,
         gap = abs(cycles - target_cycles)
         if gap > steps_left or (gap - steps_left) % 2:
             return
-        if max(partition) + 1 - 1 > steps_left and require_transitive:
+        if max(partition) > steps_left:
             return
         if steps_left == 0:
-            if perm == rho and (not require_transitive or max(partition) == 0):
+            if perm == rho and max(partition) == 0:
                 total += 1
             return
         for a, b in transpositions:

@@ -116,7 +116,7 @@ class PruningTransform:
 
     # ------------------------------------------------------------------
 
-    def z_expansion_coefficient(self, g: int, nu, order: int | None = None) -> WeightPolynomial:
+    def z_expansion_coefficient(self, g: int, nu) -> WeightPolynomial:
         """[prod z_i^{nu_i}] of F_{g,n} after substituting x_i = x(z_i):
         by the second form of the correspondence this equals PH_{g,n}(nu).
 
@@ -125,8 +125,7 @@ class PruningTransform:
         """
         nu = canonical_mu(nu)
         self._check_index(g, nu)
-        order = max(nu) + 1 if order is None else order
-        xz = x_of_z_series(self.table.d_max, order)
+        xz = x_of_z_series(self.table.d_max, max(nu) + 1)
         powers: dict[int, Series] = {}
         for mu_i in range(1, max(nu) + 1):
             powers[mu_i] = xz if mu_i == 1 else powers[mu_i - 1] * xz

@@ -615,9 +615,6 @@ class Poly:
     def from_rationals(cls, ring, values: list) -> "Poly":
         return cls(ring, [ring.from_rational(v) for v in values])
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
         out = []

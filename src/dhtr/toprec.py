@@ -22,9 +22,8 @@ from math import prod
 
 import mpmath
 
-from .curve import BranchPointData, SpectralCurve, log_difference_quotient
+from .curve import BranchPointData, SpectralCurve, two_point_coefficients
 from .cutjoin import DHTable, canonical_mu
-from .pruning import x_of_z
 from .series import Series, TruncationError
 
 __all__ = ["CorrelationForm", "RecursionEngine", "VerifyRow", "VerifyReport",
@@ -105,6 +104,22 @@ class LoopCheckReport:
     @property
     def ok(self) -> bool:
         return self.worst < self.tolerance
+
+
+def _report(g: int, n: int, triples, tolerance) -> VerifyReport:
+    """The report on (mu, predicted, expected) triples, rows in the given
+    order.  Residuals are relative to the row's own value; rows whose exact
+    value vanishes (impossible covers, or a two-point value that is zero at
+    these weights) are measured against the largest expected value of the
+    report instead."""
+    ref = max((abs(e) for _, _, e in triples), default=mpmath.mpf(1))
+    ref = ref if ref else mpmath.mpf(1)
+    rows = []
+    for mu, pred, expected in triples:
+        denom = abs(expected) if expected != 0 else ref
+        residual = abs(pred - expected) / denom
+        rows.append(VerifyRow(mu, pred, expected, residual, bool(residual < tolerance)))
+    return VerifyReport(g, n, rows, tolerance)
 
 
 def _label(index: tuple[int, int]) -> tuple[int, int]:
@@ -420,50 +435,28 @@ class RecursionEngine:
             q, s = list(self.curve.spec.q_values), self.curve.spec.s_value
             expected = {key: self.ring.from_rational(self.table.dh(g, key).specialize(q, s))
                         for key in {canonical_mu(mu) for mu in predicted}}
-            pairs = {mu: (predicted[mu], expected[canonical_mu(mu)])
-                     for mu in sorted(predicted)}
-            # residuals are relative to the row's own value; rows whose exact
-            # value vanishes (impossible covers) are measured against the
-            # largest expected value of the report instead
-            ref = max((abs(e) for _, e in pairs.values()), default=mpmath.mpf(1))
-            ref = ref if ref else mpmath.mpf(1)
-            rows = []
-            for mu, (pred, expected) in pairs.items():
-                denom = abs(expected) if expected != 0 else ref
-                residual = abs(pred - expected) / denom
-                rows.append(VerifyRow(mu, pred, expected, residual,
-                                      bool(residual < tolerance)))
-            return VerifyReport(g, n, rows, tolerance)
+            return _report(g, n, [(mu, predicted[mu], expected[canonical_mu(mu)])
+                                  for mu in sorted(predicted)], tolerance)
 
     def omega02_origin_check(self, mu_max: int, tolerance=None):
         """The unstable two-point case: expansion of
         omega_{0,2} - dx1 dx2/(x1-x2)^2 at the origin must match the exact
         two-point values (the mixed second derivative of -log Q with
-        Q = (x1-x2)/(z1-z2))."""
+        Q = (x1-x2)/(z1-z2)).  The mixed coefficients of -log Q are the
+        Grunsky coefficients of the numeric z(x), `two_point_coefficients`
+        at the window 2 mu_max + 2; rows vary mu1 fastest, and both
+        orderings of each pair are read against the symmetric table."""
         if mu_max < 1:
             raise ValueError(f"mu_max must be at least 1, got {mu_max}")
         tolerance = self._tolerance(tolerance)
         with mpmath.workprec(self.prec):
-            ring = self.ring
-            n = mu_max + 1
-            zx1 = self.curve.invert_x_numeric(n).truncate(n).rename("x1")
-            xz = x_of_z(self.curve.P.to_series("z", 2 * n), self.curve.s)
-            neg_log = -log_difference_quotient(xz, zx1)
-
-            rows = []
-            for mu2 in range(1, mu_max + 1):
-                coeff = neg_log.coefficient(mu2)
-                for mu1 in range(1, mu_max + 1):
-                    predicted = coeff.coefficient(mu1)
-                    exact = self.table.dh(0, (mu1, mu2)).specialize(
-                        list(self.curve.spec.q_values), self.curve.spec.s_value
-                    )
-                    expected = ring.from_rational(exact)
-                    denom = max(abs(expected), mpmath.mpf(2) ** (-self.prec))
-                    residual = abs(predicted - expected) / denom
-                    rows.append(VerifyRow((mu1, mu2), predicted, expected,
-                                          residual, bool(residual < tolerance)))
-            return VerifyReport(0, 2, rows, tolerance)
+            zx = self.curve.invert_x_numeric(2 * mu_max + 1)
+            predicted = two_point_coefficients(zx, mu_max)
+            q, s = list(self.curve.spec.q_values), self.curve.spec.s_value
+            triples = [((mu1, mu2), predicted[mu1, mu2],
+                        self.ring.from_rational(self.table.dh(0, (mu1, mu2)).specialize(q, s)))
+                       for mu2 in range(1, mu_max + 1) for mu1 in range(1, mu_max + 1)]
+            return _report(0, 2, triples, tolerance)
 
     # ------------------------------------------------------------------
     # loop equations

@@ -191,6 +191,19 @@ def test_tr_verify_two_point_path(capsys):
     assert "verdict: PASS" in out
 
 
+def test_tr_verify_two_point_zero_value(capsys):
+    # DH_{0,2}(1,1) = q2 s + q1^2 s^2 / 2 is 0 at q = (1, -1/20), s = 1/10;
+    # that row is measured against the largest expected value, not 2^-prec
+    code, out, _ = run(capsys, "tr-verify", "--g", "0", "--n", "2", "--mu-max", "3",
+                       "--q", "1,-1/20", "--s", "1/10", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS"
+    row = payload["rows"][0]
+    assert row["mu"] == [1, 1] and row["expected"] == "(0.0 + 0.0j)"
+    assert row["verdict"] == "PASS" and float(row["rel_residual"]) < 1e-70
+
+
 def test_tr_verify_json_schema(capsys):
     code, out, _ = run(capsys, "tr-verify", "--g", "1", "--n", "1",
                        "--mu-max", "2", "--precision", "192",

@@ -13,8 +13,12 @@ from dhtr.curve import (
     f01_check,
     f02_check,
     invert_x_exact,
+    two_point_coefficients,
 )
-from dhtr.weightpoly import WeightPolynomial
+from dhtr.cutjoin import DHTable, canonical_mu
+from dhtr.pruning import p_series
+from dhtr.series import TruncationError
+from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
 
 def curve(d, q, s, prec=192):
@@ -215,6 +219,52 @@ def test_f01_identity_exact():
 def test_f02_identity_exact():
     report = f02_check(2, 6)
     assert report.ok, report.detail
+
+
+def test_f02_check_catches_one_changed_value(monkeypatch):
+    # DH_{0,2}(3, 2) off by one part in 10^30; the loop runs mu1 fastest,
+    # so (3, 2) is met before (2, 3)
+    dh = DHTable.dh
+
+    def changed(self, g, mu):
+        value = dh(self, g, mu)
+        if (g, canonical_mu(mu)) == (0, (3, 2)):
+            value = value.scale(1 + Fraction(1, 10 ** 30))
+        return value
+
+    monkeypatch.setattr(DHTable, "dh", changed)
+    report = f02_check(2, 4)
+    assert not report.ok
+    assert report.detail == "first mismatch at (mu1, mu2) = (3, 2)"
+
+
+def test_two_point_coefficients_window():
+    # [x^m] z^-k reads z through x^(m+k+1): mu_max = 4 needs the window 10
+    zx = invert_x_exact(2, 9)
+    assert zx.order == 10
+    coeffs = two_point_coefficients(zx, 4)
+    table = DHTable(2)
+    assert all(coeffs[m, n] == table.dh(0, (m, n)) for (m, n) in coeffs)
+    with pytest.raises(TruncationError):
+        two_point_coefficients(zx.truncate(9), 4)
+
+
+def test_two_point_lagrange_closed_form():
+    # Lagrange inversion of the Grunsky coefficients, with no series kernel:
+    # DH_{0,2}(m, n) = (1/(mn)) sum_{k=1}^{n} k [z^(n-k)] e^(n s P) [z^(m+k)] e^(m s P)
+    top = 7
+    for d in (1, 2, 3):
+        table = DHTable(d)
+        ring = WeightPolyRing(d)
+        sp = p_series(ring, 2 * top + 1).scale(WeightPolynomial.s(d))
+        e = {t: sp.scale(t).exp() for t in range(1, top + 1)}
+        for m in range(1, top + 1):
+            for n in range(1, top + 1):
+                total = ring.zero
+                for k in range(1, n + 1):
+                    total = total + (e[n].coefficient(n - k)
+                                     * e[m].coefficient(m + k)).scale(k)
+                assert total.scale(Fraction(1, m * n)) == table.dh(0, (m, n)), (d, m, n)
 
 
 def test_numeric_inversion_round_trip():

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit
-from dhtr.cutjoin import DHTable
+from dhtr.cutjoin import DHTable, canonical_mu
 from dhtr.pruning import PruningTransform
 from dhtr.series import Series, SeriesRing, TruncationError
 from dhtr.toprec import CorrelationForm, RecursionEngine, _Basis
@@ -170,6 +170,23 @@ def test_omega02_origin_check(engine):
     report = engine.omega02_origin_check(4)
     assert report.ok
     assert report.max_residual < mpmath.mpf(10) ** -60
+
+
+def test_omega02_origin_check_fails_one_changed_value(engine, monkeypatch):
+    # DH_{0,2}(3, 2) off by one part in 10^30: both orderings of the pair
+    # fail, every other row passes
+    dh = DHTable.dh
+
+    def changed(self, g, mu):
+        value = dh(self, g, mu)
+        if (g, canonical_mu(mu)) == (0, (3, 2)):
+            value = value.scale(1 + Fraction(1, 10 ** 30))
+        return value
+
+    monkeypatch.setattr(DHTable, "dh", changed)
+    report = engine.omega02_origin_check(4)
+    assert [row.mu for row in report.rows if not row.ok] == [(3, 2), (2, 3)]
+    assert not report.ok
 
 
 def test_loop_equations(engine):
