@@ -13,7 +13,8 @@ phi-fit    exact fit of the pruned numbers in the centered phi products
 closed-forms  exact (0,1) and (0,2) generating-function identities
 
 Each handler imports the engines it runs, so `dh`, `ph`, `table`, `oracle`,
-`qc-verify` and `phi-fit` start without the TR engine or numpy.
+`qc-verify` and `phi-fit` start without the TR engine.  No command imports
+numpy: branch points are solved in pure Python.
 
 Exit codes: 0 pass, 1 mismatch or failed verdict, 2 usage error (a
 ValueError: malformed input, or input out of range or past a cap; this
@@ -279,7 +280,7 @@ def cmd_closed_forms(args) -> int:
     from .curve import f01_check, f02_check
 
     r1 = f01_check(args.d, args.order)
-    r2 = f02_check(args.d, min(args.order, 6))
+    r2 = f02_check(args.d, args.order)
     payload = {
         "f01": "PASS" if r1.ok else f"FAIL ({r1.detail})",
         "f02": "PASS" if r2.ok else f"FAIL ({r2.detail})",

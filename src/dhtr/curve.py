@@ -18,9 +18,10 @@ the span of the phi products of bounded degree.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, prod
 
 import mpmath
@@ -45,6 +46,50 @@ SEPARATION_REL = 1e-6
 class DegenerateCurveError(ValueError):
     """Coincident branch points: the simple-branch-point recursion does not
     apply."""
+
+
+def _seeds(coeffs: list[Fraction]) -> list[complex]:
+    """Double-precision roots of sum_k coeffs[k] z^k by Durand-Kerner
+    sweeps from the usual start on a circle that holds every root; stops
+    when no estimate moves by 1e-12 of itself, or after 500 sweeps."""
+    monic = [complex(c / coeffs[-1]) for c in coeffs[:-1]]
+    radius = 1 + max(map(abs, monic))
+    zs = [radius * (0.4 + 0.9j) ** k for k in range(len(monic))]
+    for _ in range(500):
+        converged = True
+        for i, z in enumerate(zs):
+            value = 1
+            for c in reversed(monic):
+                value = value * z + c
+            den = prod(z - other for j, other in enumerate(zs) if j != i)
+            if value and den:  # else an exact root, or estimates met on a multiple root
+                step = value / den
+                zs[i] = z - step
+                converged = converged and abs(step) <= 1e-12 * abs(z)
+        if converged:
+            break
+    return zs
+
+
+def _newton(coeffs: list, z):
+    """Newton on the polynomial with `coeffs` (highest degree first) from z,
+    at the working precision; stops at an exact zero slope."""
+    for _ in range(mpmath.mp.prec.bit_length() + 4):
+        value, slope = mpmath.polyval(coeffs, z, derivative=True)
+        if not slope:
+            break
+        z -= value / slope
+    return z
+
+
+def _check_separated(roots) -> None:
+    scale = max(abs(r) for r in roots)
+    for a, b in combinations(roots, 2):
+        if abs(a - b) < SEPARATION_REL * scale:
+            raise DegenerateCurveError(
+                "coincident branch points; the curve is outside the "
+                "simple-branch-point regime"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,33 +155,39 @@ class SpectralCurve:
     # branch points
 
     def branch_points(self):
-        """Roots of s z P'(z) = 1: double-precision companion-matrix seeds
-        polished by Newton iteration at full precision."""
+        """Roots of w(z) = 1 - s z P'(z): Durand-Kerner seeds in double
+        precision, then Newton at prec + 32 bits on w built from the exact
+        rationals, rounded once to prec.  A seed whose imaginary part is at
+        most 1e-9 of the largest seed's modulus is snapped onto the real
+        axis (a complex pair that close fails the separation test first)
+        and polished in real arithmetic, so real roots are exactly real.
+        Each complex root is polished in the upper half plane and paired
+        with its conjugate.  So the roots are a function of the curve
+        alone, not of the seeds."""
         if self._roots is not None:
             return self._roots
-        import numpy as np  # the only numpy use; loaded here to keep start-up light
-
+        q, s = self.spec.q_values, self.spec.s_value
+        w = [Fraction(1)] + [-s * i * q[i - 1] for i in range(1, self.spec.d + 1)]
+        seeds = _seeds(w)
+        if not all(map(cmath.isfinite, seeds)):
+            raise ArithmeticError(f"branch-point seeds are not finite: {seeds}")
+        _check_separated(seeds)
+        snap = 1e-9 * max(map(abs, seeds))
+        reals = [z.real for z in seeds if abs(z.imag) <= snap]
+        upper = [z for z in seeds if z.imag > snap]
+        if len(reals) + 2 * len(upper) != len(seeds):
+            raise ArithmeticError(f"branch-point seeds are not conjugate pairs: {seeds}")
+        with mpmath.workprec(self.prec + 32):
+            w_at = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(w)]
+            polished = ([_newton(w_at, mpmath.mpf(z)) for z in reals]
+                        + [_newton(w_at, mpmath.mpc(z)) for z in upper])
         with mpmath.workprec(self.prec):
-            float_coeffs = [complex(c) for c in reversed(self.W.coeffs)]
-            seeds = np.roots(np.array(float_coeffs, dtype=complex))
-            wp = self.W.derivative()
-            roots = []
-            for seed in seeds:
-                z = mpmath.mpc(seed)
-                for _ in range(int(mpmath.log(self.prec, 2)) + 4):
-                    z = z - self.W(z) / wp(z)
-                roots.append(z)
+            roots = [mpmath.mpc(+z) for z in polished]
+            roots += [r.conjugate() for r in roots[len(reals):]]
             roots.sort(key=lambda r: (mpmath.re(r), mpmath.im(r)))
-            scale = max(abs(r) for r in roots)
             # separation first: Newton converges only linearly on a multiple
             # root, so a residual check would misreport degeneracy
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    if abs(roots[i] - roots[j]) < SEPARATION_REL * scale:
-                        raise DegenerateCurveError(
-                            "coincident branch points; the curve is outside the "
-                            "simple-branch-point regime"
-                        )
+            _check_separated(roots)
             tol = mpmath.mpf(2) ** (-self.prec // 2)
             for r in roots:
                 residual = abs(self.s * r * self.P.derivative()(r) - 1)

@@ -121,6 +121,25 @@ def test_closed_forms_order_below_one_rejected(capsys):
         assert err == f"error: closed-form checks need order >= 1, got {order}\n"
 
 
+def test_closed_forms_checks_both_identities_at_the_order(capsys, monkeypatch):
+    # F_{0,2} once ran at min(--order, 6); each check now gets --order
+    from dhtr import curve
+
+    orders = []
+
+    def recording(check):
+        def at_order(d, order):
+            orders.append((check.__name__, d, order))
+            return check(d, 2)  # the real check, at an order that runs fast
+        return at_order
+
+    for name in ("f01_check", "f02_check"):
+        monkeypatch.setattr(curve, name, recording(getattr(curve, name)))
+    code, out, _ = run(capsys, "closed-forms", "--d", "3", "--order", "10")
+    assert code == 0 and out.endswith("verdict: PASS\n")
+    assert orders == [("f01_check", 3, 10), ("f02_check", 3, 10)]
+
+
 def test_oracle_normalization_failure_exits_three(capsys, monkeypatch):
     # a failed golden cross-check means the oracle could not compute a
     # polynomial to compare: exit 3, not a usage error

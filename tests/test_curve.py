@@ -4,6 +4,7 @@ from math import factorial
 import mpmath
 import pytest
 
+from dhtr import curve as curve_module
 from dhtr.curve import (
     CurveSpec,
     DegenerateCurveError,
@@ -56,10 +57,64 @@ def test_default_instance_roots():
 
 
 def test_degenerate_curve_rejected():
-    # d=2, q=(2,-1/2), s=1: szP' - 1 = -(z-1)^2 has a double root
-    c = curve(2, [2, Fraction(-1, 2)], 1)
-    with pytest.raises(DegenerateCurveError):
+    # double roots of w = 1 - s z P'(z): (1 - z)^2 at q = (2, -1/2), s = 1,
+    # and (1 - z/20)^2 at q = (1, -1/80), s = 1/10, the benchmark grid's
+    # degenerate candidate, which pick_curve skips only on this error
+    for q, s in [([2, Fraction(-1, 2)], 1), ([1, Fraction(-1, 80)], Fraction(1, 10))]:
+        for prec in (192, 512):
+            with pytest.raises(DegenerateCurveError):
+                curve(2, q, s, prec).branch_points()
+
+
+def test_newton_stops_on_zero_slope(monkeypatch):
+    # w = 1 - z/10 - z^2/5 has w'(-1/4) = 0 exactly, bits included; a seed
+    # there must end in the polish check, not in a division by zero
+    monkeypatch.setattr(curve_module, "_seeds", lambda w: [-0.25, 2.0])
+    c = curve(2, [1, 1], Fraction(1, 10), prec=256)
+    with pytest.raises(ArithmeticError, match="failed to polish") as err:
         c.branch_points()
+    assert err.type is ArithmeticError
+
+
+def test_non_finite_seed_fails_closed(monkeypatch):
+    # a NaN would pass both the separation and the residual comparisons
+    monkeypatch.setattr(curve_module, "_seeds", lambda w: [float("nan"), 2.0])
+    c = curve(2, [1, 1], Fraction(1, 10), prec=256)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        c.branch_points()
+
+
+def _root_bits(c):
+    return [r._mpc_ for r in c.branch_points()]
+
+
+@pytest.mark.parametrize("d,q,s,n_real", [
+    (3, [Fraction(1, 8), 1, 9], Fraction(-1, 5), 1),
+    (4, [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)], Fraction(1, 10), 2),
+])
+def test_root_structure_and_seed_independence(monkeypatch, d, q, s, n_real):
+    c = curve(d, q, s, prec=256)
+    roots = c.branch_points()
+    with mpmath.workprec(256):
+        # real roots carry no imaginary noise at all; the rest are far off
+        assert sum(r.imag == 0 for r in roots) == n_real
+        assert all(r.imag == 0 or abs(r.imag) > 0.1 for r in roots)
+        assert all(r.imag == 0 or r.conjugate() in roots for r in roots)
+        for r in roots:
+            assert abs(r * s * c.P.derivative()(r) - 1) < mpmath.mpf(2) ** -240
+    seeds = curve_module._seeds
+    for sign in (1, -1):
+        def perturbed(w, sign=sign):
+            return [z * (1 + sign * 1e-10 * (1 + 1j)) for z in seeds(w)]
+        monkeypatch.setattr(curve_module, "_seeds", perturbed)
+        assert _root_bits(curve(d, q, s, prec=256)) == _root_bits(c)
+
+
+def test_recursion_on_d3_curve_with_real_root():
+    from dhtr.toprec import RecursionEngine
+
+    c = curve(3, [Fraction(1, 8), 1, 9], Fraction(-1, 5), prec=256)
+    assert RecursionEngine(c).verify_conjecture(1, 1, 3).ok
 
 
 def test_involution_lambert_curve():

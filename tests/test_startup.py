@@ -76,8 +76,29 @@ def test_commands_import_only_what_they_run():
         "oracle 0 []",
         "qc-verify 0 []",
         "phi-fit 0 ['dhtr.curve']",
-        "tr-verify 0 ['dhtr.toprec', 'numpy']",
+        "tr-verify 0 ['dhtr.toprec']",
     ]
+
+
+# numpy blocked outright: importing it raises ImportError
+NO_NUMPY_PROBE = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from dhtr.cli import main
+for argv in (["tr-verify", "--g", "0", "--n", "3", "--mu-max", "2", "--d", "3",
+              "--q", "1/8,1,9", "--s=-1/5"],
+             ["loop-check", "--g", "1", "--n", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(argv[0], code)
+"""
+
+
+def test_curve_commands_run_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["tr-verify 0", "loop-check 0"]
 
 
 def test_lazy_names_resolve():
