@@ -15,9 +15,15 @@ the min rule; nothing silently extends precision.
 Products over the exact rings are the schoolbook sum.  Over ComplexRing a
 Series or Poly product is one exact convolution (ComplexRing.convolve): the
 real and imaginary part of each coefficient is the exact sum of the exact
-products, rounded once to nearest at mpmath.mp.prec.  A non-finite (inf or
-nan) coefficient in either factor raises ArithmeticError; for a Series the
-message names the variable.
+products, rounded once to nearest at mpmath.mp.prec.  A Series converts its
+coefficients to that exact fixed-point form once, on its first use as a
+factor, so a series that enters many products (a Horner step, a kernel, a
+basis element) is converted once.  A non-finite (inf or nan) coefficient in
+either factor raises ArithmeticError; for a Series the message names the
+variable.
+
+Reversion is Lagrange inversion: N - 2 products and one inverse at order N.
+The unit square root is the coefficient recurrence of h * h = r.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import fzero
 
 __all__ = [
     "AlgebraError",
@@ -92,6 +98,27 @@ def _fixed_point(coeffs):
     ints = [(-man if sign else man) << (exp - emin) if man else 0
             for sign, man, exp, _ in parts]
     return ints[0::2], ints[1::2], emin, bits
+
+
+def _rounded(v, e, prec):
+    """The mpf tuple of the int v times 2**e, rounded to nearest (ties to
+    even) at prec bits: from_man_exp(v, e, prec, round_nearest) inline."""
+    if not v:
+        return fzero
+    sign = 0
+    if v < 0:
+        sign, v = 1, -v
+    n = v.bit_length() - prec
+    if n > 0:
+        t = v >> (n - 1)  # the kept bits and the first dropped bit
+        if t & 1 and (t & 2 or v & ((1 << (n - 1)) - 1)):
+            v = (t >> 1) + 1
+        else:
+            v = t >> 1
+        e += n
+    zeros = (v & -v).bit_length() - 1  # trailing zero bits
+    v >>= zeros
+    return (sign, v, e + zeros, v.bit_length())
 
 
 def _pack(values, width):
@@ -161,30 +188,32 @@ class ComplexRing:
         a and b, by Kronecker substitution: each list's parts become exact
         ints packed into one big int, so each of the three Gauss products
         Ar*Br, Ai*Bi and (Ar+Ai)*(Br+Bi) is a single int multiplication."""
-        a, b = a[:n], b[:n]
-        fa, fb = _fixed_point(a), _fixed_point(b)
+        return self.convolve_fixed(_fixed_point(a[:n]), _fixed_point(b[:n]), n)
+
+    def convolve_fixed(self, fa, fb, n):
+        """convolve from the `_fixed_point` forms of the two lists.  A form
+        of a longer list serves as well: only its first n ints enter, and
+        the exact product, hence every rounded bit, does not depend on the
+        common exponent or the bit bound the form was made with."""
         if fa is None or fb is None:
             return [self.zero] * n
         (ar, ai, ea, bits_a), (br, bi, eb, bits_b) = fa, fb
+        ar, ai, br, bi = ar[:n], ai[:n], br[:n], bi[:n]
         # A slot of (Ar+Ai)(Br+Bi) sums at most min(len) products, each below
         # 2**(bits_a+1) * 2**(bits_b+1) in size, so it is below
         # 2**(bits_a+bits_b+2+bitlen(min(len))); one more bit holds the sign.
-        w = bits_a + bits_b + min(len(a), len(b)).bit_length() + 3
+        w = bits_a + bits_b + min(len(ar), len(br)).bit_length() + 3
         pa_r, pa_i, pb_r, pb_i = (_pack(v, w) for v in (ar, ai, br, bi))
         p1 = pa_r * pb_r
         p2 = pa_i * pb_i
         re = _unpack(p1 - p2, w, n)
+        e, prec = ea + eb, mpmath.mp.prec
+        make = mpmath.mp.make_mpc
         if pa_i or pb_i:
             im = _unpack((pa_r + pa_i) * (pb_r + pb_i) - p1 - p2, w, n)
-        else:
-            im = [0] * n
-        e, prec = ea + eb, mpmath.mp.prec
-
-        def rounded(v):
-            return from_man_exp(v, e, prec, round_nearest) if v else fzero
-
-        make = mpmath.mp.make_mpc
-        return [make((rounded(x), rounded(y))) for x, y in zip(re, im)]
+            return [make((_rounded(x, e, prec), _rounded(y, e, prec)))
+                    for x, y in zip(re, im)]
+        return [make((_rounded(x, e, prec), fzero)) for x in re]
 
     def __eq__(self, other):
         return isinstance(other, ComplexRing) and other.precision == self.precision
@@ -246,9 +275,13 @@ class SeriesRing:
 
 class Series:
     """Truncated Laurent series: sum of coeffs[k] * var**(lo + k) plus an
-    unknown tail O(var**order)."""
+    unknown tail O(var**order).
 
-    __slots__ = ("ring", "var", "lo", "coeffs", "order")
+    A coefficient list is never mutated after the series is built: over
+    ComplexRing its fixed-point form is kept on the series at its first
+    use as a factor (`_fixed_form`) and serves every later product."""
+
+    __slots__ = ("ring", "var", "lo", "coeffs", "order", "_fixed")
 
     def __init__(self, ring, var: str, lo: int, coeffs: list, order: int):
         if order - lo != len(coeffs):
@@ -269,18 +302,16 @@ class Series:
 
     @classmethod
     def constant(cls, ring, var: str, value, order: int) -> "Series":
-        s = cls.zero(ring, var, order)
-        if order > 0:
-            s.coeffs[0] = value
-        return s
+        if order <= 0:
+            return cls.zero(ring, var, order)
+        return cls(ring, var, 0, [value] + [ring.zero] * (order - 1), order)
 
     @classmethod
     def identity(cls, ring, var: str, order: int) -> "Series":
         """The series var itself."""
-        s = cls.zero(ring, var, order)
-        if order > 1:
-            s.coeffs[1] = ring.one
-        return s
+        if order <= 1:
+            return cls.zero(ring, var, order)
+        return cls(ring, var, 0, [ring.zero, ring.one] + [ring.zero] * (order - 2), order)
 
     @classmethod
     def from_coeffs(cls, ring, var: str, coeffs: list, order: int, lo: int = 0) -> "Series":
@@ -390,10 +421,21 @@ class Series:
         order = min(self.lo + other.order, other.lo + self.order)
         n = max(order - lo, 0)
         try:
-            coeffs = _product(self.ring, self.coeffs, other.coeffs, n)
+            if isinstance(self.ring, ComplexRing):
+                coeffs = self.ring.convolve_fixed(self._fixed_form(), other._fixed_form(), n)
+            else:
+                coeffs = _product(self.ring, self.coeffs, other.coeffs, n)
         except ArithmeticError as exc:
             raise ArithmeticError(f"{exc} in a series in {self.var}") from None
         return Series(self.ring, self.var, min(lo, order), coeffs, order)
+
+    def _fixed_form(self):
+        """_fixed_point of the whole coefficient list, made on first use."""
+        try:
+            return self._fixed
+        except AttributeError:
+            self._fixed = _fixed_point(self.coeffs)
+            return self._fixed
 
     def scale(self, value) -> "Series":
         if isinstance(value, (int, Fraction)):
@@ -496,28 +538,21 @@ class Series:
             g[m] = mul(acc, Fraction(1, m))
         return Series(self.ring, self.var, 0, g, n)
 
-    def log(self) -> "Series":
-        """log of a series with constant term 1."""
-        if self.lo > 0 or self.order <= 0:
-            raise AlgebraError("log requires constant term 1")
-        c0 = self.coefficient(0)
-        if not self.ring.is_zero(c0 - self.ring.one):
-            raise AlgebraError("log requires constant term 1")
-        n = self.order
-        mul = self.ring.mul_rational
-        f = [self.coefficient(k) for k in range(n)]
-        h = [self.ring.zero] * n
-        for m in range(1, n):
-            acc = self.ring.zero
-            for k in range(1, m):
-                if not self.ring.is_zero(h[k]):
-                    acc = acc + mul(h[k] * f[m - k], k)
-            h[m] = f[m] - mul(acc, Fraction(1, m))
-        return Series(self.ring, self.var, 0, h, n)
-
     def sqrt_unit(self) -> "Series":
-        """Square root of a series with constant term 1 (principal branch)."""
-        return self.log().div_scalar(2).exp()
+        """Square root h of a series r with constant term 1 (principal
+        branch), from h * h = r coefficient by coefficient:
+        h_m = (r_m - sum_{0<k<m} h_k h_(m-k)) / 2."""
+        if self.lo > 0 or self.order <= 0 or not self.ring.is_zero(
+                self.coefficient(0) - self.ring.one):
+            raise AlgebraError("sqrt_unit requires constant term 1")
+        ring, n = self.ring, self.order
+        h = [ring.one] + [ring.zero] * (n - 1)
+        for m in range(1, n):
+            acc = ring.zero
+            for k in range(1, m):
+                acc = acc + h[k] * h[m - k]
+            h[m] = ring.mul_rational(self.coefficient(m) - acc, Fraction(1, 2))
+        return Series(ring, self.var, 0, h, n)
 
     # ------------------------------------------------------------------
     # composition and reversion
@@ -534,14 +569,14 @@ class Series:
         coefficients see the same products in the same order as at full
         width.  A Laurent outer (lo < 0) keeps the full width.
 
-        Each outer coefficient c is added in place at exponent 0 only.  A
-        full-width add of a constant series would leave every other
-        coefficient as it is: each is a fresh product coefficient r, and
-        ring.zero + r equals r (over mpc it is already rounded at the
-        working precision).  After a product by the stripped step the
-        accumulator starts at exponent 1 or above; c then enters as
-        ring.zero + c, which rounds or cuts it as that add does, with
-        zeros up to the old lo."""
+        Each outer coefficient c is added at exponent 0 only, into a new
+        list (a series' list is never mutated).  A full-width add of a
+        constant series would leave every other coefficient as it is: each
+        is a fresh product coefficient r, and ring.zero + r equals r (over
+        mpc it is already rounded at the working precision).  After a
+        product by the stripped step the accumulator starts at exponent 1
+        or above; c then enters as ring.zero + c, which rounds or cuts it
+        as that add does, with zeros up to the old lo."""
         if inner.lo < 1 and any(not inner.ring.is_zero(c) for c in inner.coeffs[: 1 - inner.lo]):
             raise AlgebraError("composition requires inner valuation >= 1")
         if self.ring != inner.ring:
@@ -559,12 +594,12 @@ class Series:
             result = result * step
             c = self.coeffs[k]
             if not self.ring.is_zero(c) and result.order > 0:
-                lo = result.lo
+                lo, coeffs = result.lo, result.coeffs
                 if lo > 0:
-                    head = [ring.zero + c] + [ring.zero] * (lo - 1)
-                    result = Series(ring, inner.var, 0, head + result.coeffs, result.order)
+                    coeffs = [ring.zero + c] + [ring.zero] * (lo - 1) + coeffs
                 else:
-                    result.coeffs[-lo] += c
+                    coeffs = coeffs[:-lo] + [coeffs[-lo] + c] + coeffs[1 - lo:]
+                result = Series(ring, inner.var, min(lo, 0), coeffs, result.order)
             if truncating and result.order > top - k:
                 result = result.truncate(top - k)
         if self.lo:
@@ -572,7 +607,10 @@ class Series:
         return result.truncate(min(result.order, top))
 
     def reversion(self) -> "Series":
-        """Compositional inverse of c1*var + O(var^2), via Newton iteration."""
+        """Compositional inverse g of f = c1*var + O(var^2), by Lagrange
+        inversion: [var^n] g = (1/n) [var^(n-1)] h^n with h = var / f.  At
+        order N that is one inverse and N - 2 products; over the exact
+        rings it is the exact inverse series."""
         if self.lo > 1 or (self.lo <= 0 and self.order > 0 and
                            not self.ring.is_zero(self.coefficient(0))):
             raise AlgebraError("reversion requires a series with zero constant term")
@@ -581,24 +619,16 @@ class Series:
         c1 = self.coefficient(1)
         if self.ring.is_zero(c1):
             raise AlgebraError("reversion requires an invertible linear coefficient")
-        target = self.order
-        ring, var = self.ring, self.var
-        g = Series(ring, var, 0, [ring.zero, ring.invert(c1)], 2)
-        known = 1  # g agrees with the true inverse through this exponent
-        while known < target - 1:
-            n = min(2 * known + 1, target)
-            g = Series(ring, var, 0, g.coeffs + [ring.zero] * (n - g.order), n)
-            f = self.truncate(n)
-            err = f.compose(g) - Series.identity(ring, var, n)
-            # err has valuation >= known + 1; dropping the head (mathematically
-            # zero) keeps the Newton step accurate through exponent n - 1.
-            err = Series(ring, var, known + 1, err.coeffs[known + 1 - err.lo:], err.order)
-            corr = err * f.derivative().compose(g).inverse()
-            step = g - corr
-            coeffs = [step.coefficient(k) for k in range(n)]
-            g = Series(ring, var, 0, coeffs, n)
-            known = n - 1
-        return g
+        ring, var, target = self.ring, self.var, self.order
+        h = Series(ring, var, 0, [self.coefficient(k) for k in range(1, target)],
+                   target - 1).inverse()
+        g = [ring.zero] * target
+        power = h
+        for n in range(1, target):
+            if n > 1:
+                power = power * h
+            g[n] = ring.mul_rational(power.coeffs[n - 1], Fraction(1, n))
+        return Series(ring, var, 0, g, target)
 
 
 class Poly:

@@ -136,14 +136,20 @@ class _Basis:
     stands for p_j(sigma(u))^e sigma'(u).  The pole index (j, k) is the
     element (j, k+1) (see `_label`), and the omega_{0,2} factor paired with
     the spectator index (i, k+1) is (k+1) times the element (i, -k), the
-    monomial u^k."""
+    monomial u^k.
+
+    An element is its memoized neighbour one step nearer e = 0 times one
+    factor, p_j or (for e < 0) 1/p_j = a_i - a_j + u, taken at u or at
+    sigma(u): one product per element.  e = 0 is 1 on the z side and
+    sigma' on the sigma side; the z-side (j, 1) is p_j itself, and the
+    z-side (i, e) is the monomial u^-e."""
 
     def __init__(self, frame: BranchPointData, roots, window: int):
         self.frame = frame
         self.roots = roots
         self.window = window
         self._memo: dict[tuple, Series] = {}
-        self._at_sigma: dict[int, Series] = {}
+        self._factors: dict[tuple, Series] = {}
 
     def element(self, label: tuple[int, int], at_sigma: bool = False) -> Series:
         key = (label, at_sigma)
@@ -154,29 +160,33 @@ class _Basis:
     def _build(self, j: int, e: int, at_sigma: bool) -> Series:
         frame = self.frame
         ring = frame.sigma.ring
-        if at_sigma:
-            if e == 0:
-                return frame.sigma_prime
-            if j == frame.index and e < 0:
-                return frame.sigma.pow_int(-e) * frame.sigma_prime
-            return self._p_at_sigma(j).pow_int(e) * frame.sigma_prime
-        if j == frame.index:
+        if not at_sigma and j == frame.index:
             coeffs = [ring.one] + [ring.zero] * (self.window + e - 1)
             return Series(ring, "u", -e, coeffs, self.window)
-        if e == 1:
-            gap = frame.a - self.roots[j]
-            return Series.from_coeffs(ring, "u", [gap, ring.one], self.window).inverse()
-        return self.element((j, 1)).pow_int(e)
+        if e == 0:
+            return frame.sigma_prime if at_sigma else Series.constant(
+                ring, "u", ring.one, self.window)
+        if e == 1 and not at_sigma:
+            return self._factor(j, 1, False)
+        step = 1 if e > 0 else -1
+        return self.element((j, e - step), at_sigma) * self._factor(j, step, at_sigma)
 
-    def _p_at_sigma(self, j: int) -> Series:
-        """p_j(sigma(u)); for j = i that is 1/sigma(u)."""
-        if j not in self._at_sigma:
-            if j == self.frame.index:
-                value = self.frame.sigma.inverse()
+    def _factor(self, j: int, step: int, at_sigma: bool) -> Series:
+        """p_j (step 1) or 1/p_j (step -1), at u or at sigma(u)."""
+        key = (j, step, at_sigma)
+        if key not in self._factors:
+            frame, ring = self.frame, self.frame.sigma.ring
+            if at_sigma and j == frame.index:
+                value = frame.sigma.inverse() if step > 0 else frame.sigma
+            elif at_sigma:
+                value = self._factor(j, step, False).compose(frame.sigma)
             else:
-                value = self.element((j, 1)).compose(self.frame.sigma)
-            self._at_sigma[j] = value
-        return self._at_sigma[j]
+                gap = frame.a - self.roots[j]
+                value = Series.from_coeffs(ring, "u", [gap, ring.one], self.window)
+                if step > 0:
+                    value = value.inverse()
+            self._factors[key] = value
+        return self._factors[key]
 
     def omega02_cut(self) -> Series:
         """omega_{0,2}(z, sigma(z)) at z = a_i + u, du stripped:

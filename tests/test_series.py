@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
 
+from dhtr import series as series_module
 from dhtr.series import (
     AlgebraError,
     ComplexRing,
@@ -134,12 +137,12 @@ def test_exp_rejects_constant_term():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=5))
-def test_exp_log_round_trip(tail):
+def test_exp_times_exp_of_negation_is_one(tail):
+    # exp(f) exp(-f) = 1 for zero-constant f; its square root is exp(f/2)
     f = qseries([0] + tail)
     g = f.exp()
-    assert g.log() == f or [
-        g.log().coefficient(k) for k in range(f.order)
-    ] == [f.coefficient(k) for k in range(f.order)]
+    assert g * (-f).exp() == qseries([1], order=f.order)
+    assert g.sqrt_unit() == f.scale(Fraction(1, 2)).exp()
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +197,74 @@ def test_reversion_rejects_zero_linear_part():
     f = qseries([0, 0, 1, 1])
     with pytest.raises(AlgebraError):
         f.reversion()
+
+
+def test_numeric_reversion_matches_exact_at_order_24():
+    # Lagrange inversion over mpc at 256 bits against the same inversion
+    # over Q, on a rational series with mixed signs and denominators
+    rng = random.Random(24)
+    coeffs = [0, Fraction(3, 2)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                     for _ in range(22)]
+    exact = qseries(coeffs).reversion()
+    ring = ComplexRing(256)
+    with mpmath.workprec(256):
+        g = Series.from_coeffs(ring, "z", coeffs, 24).reversion()
+        want = [ring.from_rational(exact.coefficient(k)) for k in range(24)]
+        top = max(abs(c) for c in want)
+        assert (g.lo, g.order) == (0, 24)
+        for k in range(24):
+            assert abs(g.coefficient(k) - want[k]) <= top * mpmath.mpf(2) ** -240, k
+
+
+def test_reversion_is_one_inverse_and_n_minus_2_products(monkeypatch):
+    calls = {"mul": 0, "inverse": 0}
+    mul, inverse = Series.__mul__, Series.inverse
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counting_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(Series, "inverse", counting_inverse)
+    ring = ComplexRing(256)
+    with mpmath.workprec(256):
+        for order in (2, 3, 12):
+            calls.update(mul=0, inverse=0)
+            Series.from_coeffs(ring, "z", [0, 2, 1, Fraction(-1, 3)], order).reversion()
+            assert calls == {"mul": order - 2, "inverse": 1}, order
+
+
+# ----------------------------------------------------------------------
+# unit square root
+
+
+def test_sqrt_unit_squares_back():
+    rng = random.Random(7)
+    for prec in (256, 512):
+        ring = ComplexRing(prec)
+        with mpmath.workprec(prec):
+            # coefficients falling like 2**-k, as in the frames' x ratio
+            coeffs = [1] + [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 2 ** k
+                            for k in range(1, 20)]
+            r = Series.from_coeffs(ring, "u", coeffs, 20)
+            h = r.sqrt_unit()
+            back = h * h
+            assert (h.lo, h.order) == (back.lo, back.order) == (0, 20)
+            bound = max(abs(c) for c in r.coeffs) * mpmath.mpf(2) ** -(prec - 8)
+            assert all(abs(x - y) <= bound for x, y in zip(back.coeffs, r.coeffs))
+    # over Q the root is exact: (1 + z - 2 z^2)^2 = 1 + 2z - 3z^2 - 4z^3 + 4z^4
+    h = qseries([1, 2, -3, -4, 4, 0, 0]).sqrt_unit()
+    assert [h.coefficient(k) for k in range(7)] == [1, 1, -2, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("coeffs, lo", [([2, 1], 0), ([0, 1], 0), ([1, 1], 1)])
+def test_sqrt_unit_requires_constant_one(coeffs, lo):
+    with pytest.raises(AlgebraError):
+        qseries(coeffs, lo=lo).sqrt_unit()
 
 
 # ----------------------------------------------------------------------
@@ -462,6 +533,77 @@ def test_complex_product_slot_width_worst_case(prec, alternating):
     assert [c._mpc_ for c in prod.coeffs] == want
 
 
+def _mantissas(prec, rng):
+    """Unsigned mantissas for the rounding helper: zero, bit lengths below,
+    at and above prec, exact ties with an even and an odd kept part, ties
+    broken by a sticky bit, and all-ones values that carry into a new bit."""
+    out = [0, 1, 2, 3, (1 << prec) - 1, 1 << prec, (1 << prec) + 1]
+    for bits in (1, 2, 63, prec - 1, prec, prec + 1, prec + 2, prec + 61, 2 * prec + 7):
+        out += [rng.getrandbits(bits) | (1 << (bits - 1)) for _ in range(25)]
+    for drop in (1, 2, 3, 17, 64, 301):
+        for _ in range(10):
+            even = (1 << (prec - 1)) | (rng.getrandbits(prec - 1) & ~1)
+            for kept in (even, even | 1, (1 << prec) - 1):
+                tie = (kept << drop) | (1 << (drop - 1))
+                out += [tie, tie - 1, tie + 1]  # tie, just below, sticky above
+    out += [(1 << (prec + extra)) - 1 for extra in (1, 2, 7, 64)]
+    return out
+
+
+@pytest.mark.parametrize("prec", [256, 288, 512, 544])
+def test_rounded_matches_from_man_exp(prec):
+    rng = random.Random(prec)
+    for v in _mantissas(prec, rng):
+        for signed in (v, -v):
+            for e in (-700, -prec, 0, 5):
+                want = from_man_exp(signed, e, prec, round_nearest)
+                assert series_module._rounded(signed, e, prec) == want, (signed, e)
+
+
+def test_product_with_memoized_operands_matches_fresh_convolution(monkeypatch):
+    # a series keeps its fixed-point form after its first product; later
+    # products, also narrower ones that read a prefix of that form, keep
+    # the bits of a convolution of fresh copies of the lists
+    rng = random.Random(3)
+    ring = ComplexRing(256)
+
+    def coeffs(n):
+        return [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpmath.mpf(2) ** rng.randint(-40, 40)
+                for _ in range(n)]
+
+    with mpmath.workprec(256):
+        a, b, c = _series(ring, 0, coeffs(9)), _series(ring, 1, coeffs(6)), _series(ring, -2, coeffs(12))
+        for x, y in ((a, b), (b, c), (a, c)):
+            x * y
+        conversions = []
+        fixed_point = series_module._fixed_point
+        monkeypatch.setattr(series_module, "_fixed_point",
+                            lambda values: conversions.append(1) or fixed_point(values))
+        products = [(x, y, x * y) for x, y in ((a, b), (c, b), (b, c), (a, c), (c, a), (a, a))]
+        assert not conversions
+        for x, y, p in products:
+            want = ring.convolve(list(x.coeffs), list(y.coeffs), len(p.coeffs))
+            assert [z._mpc_ for z in p.coeffs] == [z._mpc_ for z in want]
+    assert min(len(c.coeffs), len(a.coeffs)) > len((b * c).coeffs)
+
+
+def test_compose_converts_its_step_once(monkeypatch):
+    ring = ComplexRing(256)
+    with mpmath.workprec(256):
+        outer = Series.from_coeffs(ring, "u", list(range(1, 11)), 10)
+        inner = Series.from_coeffs(ring, "u", [0] + [Fraction(1, k) for k in range(1, 10)], 10)
+        step = [c._mpc_ for c in inner.coeffs[1:]]
+        converted = []
+        fixed_point = series_module._fixed_point
+        monkeypatch.setattr(series_module, "_fixed_point",
+                            lambda values: converted.append([c._mpc_ for c in values])
+                            or fixed_point(values))
+        outer.compose(inner)
+    # the step (inner without its zero head), whole or cut to a prefix
+    assert sum(1 for v in converted if v and v == step[:len(v)]) == 1
+    assert len(converted) == 11  # the step and one accumulator per Horner product
+
+
 @pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf),
                                  mpmath.mpc(-mpmath.inf, 0), mpmath.mpf("nan")])
 def test_complex_product_rejects_non_finite(bad):
@@ -496,11 +638,3 @@ def test_truncation_error_raised():
     f = qseries([1, 2], order=2)
     with pytest.raises(AlgebraError):
         f.coefficient(5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=5))
-def test_log_exp_round_trip(tail):
-    # exp(log(1 + a)) = 1 + a for zero-constant a
-    one_plus = qseries([1] + tail)
-    assert one_plus.log().exp() == one_plus

@@ -430,6 +430,68 @@ def test_omega02_local_expansion(engine):
         assert series.residue() == 0
 
 
+def _pow_int_element(frame, roots, window, j, e, at_sigma):
+    """A basis element from scratch by Series.pow_int, as a reference."""
+    ring = frame.sigma.ring
+    if j == frame.index:
+        base = Series(ring, "u", -1, [ring.one] + [ring.zero] * window, window)
+    else:
+        base = Series.from_coeffs(ring, "u", [frame.a - roots[j], ring.one], window).inverse()
+    if not at_sigma:
+        return base.pow_int(e)
+    if j == frame.index:
+        power = frame.sigma.pow_int(-e) if e < 0 else frame.sigma.inverse().pow_int(e)
+    else:
+        power = base.compose(frame.sigma).pow_int(e)
+    return power * frame.sigma_prime
+
+
+@pytest.mark.parametrize("window", [14, 18])
+def test_basis_elements_match_pow_int(engine, window):
+    # each element is built from its neighbour one power nearer e = 0; it
+    # must stay within 2**-(prec-8) of its scale of a pow_int build
+    curve = engine.curve
+    with mpmath.workprec(engine.prec):
+        roots = curve.branch_points()
+        bound = mpmath.mpf(2) ** -(engine.prec - 8)
+        for frame in curve.frames(window):
+            basis = _Basis(frame, roots, window)
+            for j in range(len(roots)):
+                for at_sigma in (False, True):
+                    for e in range(-6, 13):
+                        got = basis.element((j, e), at_sigma)
+                        want = _pow_int_element(frame, roots, window, j, e, at_sigma)
+                        assert got.lo == want.lo, (j, e, at_sigma)
+                        if j != frame.index or at_sigma:
+                            assert got.order == want.order, (j, e, at_sigma)
+                        scale = max(abs(c) for c in want.coeffs)
+                        for k in range(got.lo, min(got.order, want.order)):
+                            diff = abs(got.coefficient(k) - want.coefficient(k))
+                            assert diff <= bound * scale, (j, e, at_sigma, k)
+
+
+def test_basis_forms_one_product_per_power(engine, monkeypatch):
+    # elements (j, 1..E) at j != i: E - 1 products on the z side; on the
+    # sigma side E, once p_j(sigma) is built
+    products = []
+    mul = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    top = 7
+    with mpmath.workprec(engine.prec):
+        for frame in engine.curve.frames(14):
+            basis = _Basis(frame, engine.curve.branch_points(), 14)
+            j = 1 - frame.index
+            products.clear()
+            for e in range(1, top + 1):
+                basis.element((j, e))
+            assert len(products) == top - 1
+            basis._factor(j, 1, True)
+            products.clear()
+            for e in range(1, top + 1):
+                basis.element((j, e), at_sigma=True)
+            assert len(products) == top
+
+
 def test_recursion_on_complex_branch_points():
     # d=3 puts two branch points off the real axis; proven instances must
     # still match the exact table
