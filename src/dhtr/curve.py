@@ -1,18 +1,19 @@
 """Numeric instantiation of the rational curve x = z exp(-s P(z)), y = P(z).
 
-Branch points are the zeros of s z P'(z) - 1; each is assumed simple and
-carries a local frame: the local involution sigma exchanging the two sheets
-of x, its derivative, the local omega_{0,1} and the recursion kernel
-1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)).  A curve builds its
-frames once, at the largest order requested so far; smaller orders get
-truncated views of that build, which equal a fresh build bit for bit.  The
-module also hosts the x-inversion at the origin (numeric and exact), the
-partition-sum coefficients of z^i = sum A_mu^i x^mu, the phi basis spanning
-the space of loop-equation solutions, and exact series checks of the closed
-forms for the (0,1) and (0,2) generating functions.  The two-point
-coefficients are read off the powers z(x)^k and z(x)^-k of one-variable
-series (`two_point_coefficients`), over any ring.  `phi_fit` checks
-the polynomial structure of the pruned numbers exactly: F_{g,n} in z lies in
+Branch points are the zeros of w(z) = 1 - s z P'(z) (`w_poly`); each is
+assumed simple and carries a local frame: the local involution sigma
+exchanging the two sheets of x, its derivative, the local omega_{0,1} and
+the recursion kernel 1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)).
+A curve builds its frames once, at the largest order requested so far;
+smaller orders get truncated views of that build, which equal a fresh build
+bit for bit.  The module also hosts the x-inversion at the origin (numeric
+and exact), the partition-sum coefficients of z^i = sum A_mu^i x^mu, the
+phi basis spanning the space of loop-equation solutions, as series at one
+point (`PhiBasis`), and exact series checks of the closed forms for the
+(0,1) and (0,2) generating functions.  The two-point coefficients are read
+off the powers z(x)^k and z(x)^-k of one-variable series
+(`two_point_coefficients`), over any ring.  `phi_fit` checks the
+polynomial structure of the pruned numbers exactly: F_{g,n} in z lies in
 the span of the phi products of bounded degree.
 """
 
@@ -33,7 +34,7 @@ from .weightpoly import WeightPolynomial, WeightPolyRing
 
 __all__ = [
     "CurveSpec", "BranchPointData", "SpectralCurve", "DegenerateCurveError",
-    "a_mu_coefficient", "invert_x_exact", "PhiBasis", "RationalOverW",
+    "a_mu_coefficient", "invert_x_exact", "w_poly", "PhiBasis",
     "PhiFitReport", "phi_fit", "f01_check", "f02_check", "CheckReport",
     "two_point_coefficients",
 ]
@@ -46,6 +47,12 @@ SEPARATION_REL = 1e-6
 class DegenerateCurveError(ValueError):
     """Coincident branch points: the simple-branch-point recursion does not
     apply."""
+
+
+def w_poly(ring, q, s) -> Poly:
+    """w(z) = 1 - s z P'(z) over `ring`, for P(z) = sum_i q[i-1] z^i with
+    q and s in `ring` (symbolic over weight polynomials)."""
+    return Poly(ring, [ring.one] + [-s * ring.mul_rational(q_i, i) for i, q_i in enumerate(q, 1)])
 
 
 def _seeds(coeffs: list[Fraction]) -> list[complex]:
@@ -142,10 +149,7 @@ class SpectralCurve:
             self.q = [self.ring.from_rational(v) for v in spec.q_values]
             # P(z) and w(z) = 1 - s z P'(z) as global polynomials
             self.P = Poly(self.ring, [self.ring.zero] + self.q)
-            w_coeffs = [self.ring.one] + [
-                -self.s * (i * self.q[i - 1]) for i in range(1, spec.d + 1)
-            ]
-            self.W = Poly(self.ring, w_coeffs)
+            self.W = w_poly(self.ring, self.q, self.s)
         self._roots = None
         self._frames: list[BranchPointData] = []
         self._frames_order = 0
@@ -166,8 +170,7 @@ class SpectralCurve:
         alone, not of the seeds."""
         if self._roots is not None:
             return self._roots
-        q, s = self.spec.q_values, self.spec.s_value
-        w = [Fraction(1)] + [-s * i * q[i - 1] for i in range(1, self.spec.d + 1)]
+        w = w_poly(RationalRing(), self.spec.q_values, self.spec.s_value).coeffs
         seeds = _seeds(w)
         if not all(map(cmath.isfinite, seeds)):
             raise ArithmeticError(f"branch-point seeds are not finite: {seeds}")
@@ -190,7 +193,7 @@ class SpectralCurve:
             _check_separated(roots)
             tol = mpmath.mpf(2) ** (-self.prec // 2)
             for r in roots:
-                residual = abs(self.s * r * self.P.derivative()(r) - 1)
+                residual = abs(self.W(r))
                 if residual > tol:
                     raise ArithmeticError(
                         f"branch point failed to polish: residual {residual}"
@@ -297,10 +300,8 @@ class SpectralCurve:
 
 
 def invert_x_exact(d_max: int, order: int) -> Series:
-    """z(x) over weight polynomials (s symbolic), to order 12: exact
-    reversion cost grows quickly with the order."""
-    if order > 12:
-        raise ValueError(f"exact inversion order {order} exceeds cap 12")
+    """z(x) over weight polynomials (q's and s symbolic), trusted through
+    exponent `order`: the exact reversion of x(z)."""
     return x_of_z_series(d_max, order + 1).reversion().rename("x")
 
 
@@ -322,77 +323,39 @@ def a_mu_coefficient(i: int, mu: int, d_max: int) -> WeightPolynomial:
 # the phi basis
 
 
-class RationalOverW:
-    """Rational function N(z) / w(z)^j with w = 1 - s z P'(z); closed under
-    the generator D = (z / w) d/dz used to build the phi basis."""
-
-    def __init__(self, numer: Poly, wpow: int, w: Poly):
-        self.numer = numer
-        self.wpow = wpow
-        self.w = w
-
-    def apply_generator(self) -> "RationalOverW":
-        # D(N / w^j) = z (N' w - j N w') / w^(j+2)
-        ring = self.numer.ring
-        z = Poly(ring, [ring.zero, ring.one])
-        quotient_rule = self.numer.derivative() * self.w
-        if self.wpow:
-            quotient_rule = quotient_rule - self.numer.scale(self.wpow) * self.w.derivative()
-        return RationalOverW(z * quotient_rule, self.wpow + 2, self.w)
-
-    def __call__(self, z_value):
-        return self.numer(z_value) / self.w(z_value) ** self.wpow
-
-    def local_series(self, a, order: int, negligible) -> Series:
-        """Laurent expansion at z = a + u; w may have a simple zero at a."""
-        n_local = self.numer.shifted_series(a, "u", order)
-        w_local = self.w.shifted_series(a, "u", order).strip_leading(negligible)
-        return n_local * w_local.inverse().pow_int(self.wpow)
-
-    def series_at_origin(self, order: int) -> Series:
-        n0 = self.numer.to_series("z", order)
-        w0 = self.w.to_series("z", order)
-        return n0 * w0.inverse().pow_int(self.wpow)
-
-
 class PhiBasis:
-    """phi_{-1}^i = z^i and phi_{k+1}^i = (z / w) d/dz phi_k^i.
+    """phi_{-1}^i = z^i and phi_{k+1}^i = (z / w) d/dz phi_k^i, for
+    w = `w_poly(...)`, as Laurent series in u = z - a.
 
     Every phi_k^i with k >= 0 has poles only at the branch points and its
     sigma-symmetrization is analytic there; together these span the space
     of rational functions with that property.
+
+    z = a + u and z / w are expanded once at `a` (the origin by default)
+    to the window `order`; at a numeric branch point `negligible` drops
+    w's rounded head.  By the product rule phi_k^i keeps `order` at the
+    origin, ends at order - k - 1 at a regular point, and spans
+    [-(2k+1), order - 2k - 2) at a branch point.
     """
 
-    def __init__(self, w: Poly):
-        self.w = w
-        self.ring = w.ring
-        self._cache: dict[tuple[int, int], RationalOverW] = {}
+    def __init__(self, w: Poly, order: int, a=None, negligible=None):
+        ring = w.ring
+        a = ring.zero if a is None else a
+        self.z = Series.from_coeffs(ring, "u", [a, ring.one], order)
+        w_local = w.shifted_series(a, "u", order).strip_leading(negligible or ring.is_zero)
+        self.z_over_w = (self.z * w_local.inverse()).strip_leading(ring.is_zero)
+        self._cache: dict[tuple[int, int], Series] = {}
 
-    def phi(self, i: int, k: int) -> RationalOverW:
+    def phi(self, i: int, k: int) -> Series:
         if i < 1 or k < -1:
             raise ValueError("need i >= 1 and k >= -1")
         key = (i, k)
         if key not in self._cache:
             if k == -1:
-                coeffs = [self.ring.zero] * i + [self.ring.one]
-                self._cache[key] = RationalOverW(Poly(self.ring, coeffs), 0, self.w)
+                self._cache[key] = self.z.pow_int(i)
             else:
-                self._cache[key] = self.phi(i, k - 1).apply_generator()
+                self._cache[key] = self.z_over_w * self.phi(i, k - 1).derivative()
         return self._cache[key]
-
-    @classmethod
-    def for_curve(cls, curve: SpectralCurve) -> "PhiBasis":
-        return cls(curve.W)
-
-    @classmethod
-    def exact(cls, d_max: int) -> "PhiBasis":
-        """phi over the exact coefficient ring (q's and s symbolic)."""
-        ring = WeightPolyRing(d_max)
-        s = WeightPolynomial.s(d_max)
-        w_coeffs = [ring.one] + [
-            (WeightPolynomial.q(i, d_max) * s).scale(-i) for i in range(1, d_max + 1)
-        ]
-        return cls(Poly(ring, w_coeffs))
 
 
 @dataclass
@@ -438,8 +401,7 @@ def phi_fit(transform: PruningTransform, q_values, s_value, g: int, n: int) -> P
         raise ValueError("stable forms require 2g - 2 + n > 0")
     spec = CurveSpec.make(transform.table.d_max, q_values, s_value)
     q, s = list(spec.q_values), spec.s_value
-    ring = RationalRing()
-    basis = PhiBasis(Poly(ring, [ring.one] + [-s * i * q_i for i, q_i in enumerate(q, 1)]))
+    w = w_poly(RationalRing(), q, s)
     bound = 3 * g - 3 + n
     labels = [(i, k) for i in range(1, spec.d + 1) for k in range(bound + 1)]
     unknowns = [c for c in combinations_with_replacement(labels, n)
@@ -452,7 +414,8 @@ def phi_fit(transform: PruningTransform, q_values, s_value, g: int, n: int) -> P
     pivots: list[tuple[int, list]] = []
     equations, consistent, done = 0, True, 0
     while True:
-        phis = {label: basis.phi(*label).series_at_origin(box + 1) for label in labels}
+        basis = PhiBasis(w, box + 1)
+        phis = {label: basis.phi(*label) for label in labels}
         for nu in combinations_with_replacement(range(box, 0, -1), n):
             if nu[0] <= done:
                 continue
@@ -511,7 +474,7 @@ def f01_check(d_max: int, order: int) -> CheckReport:
     ring = WeightPolyRing(d_max)
     coeffs = [ring.zero] + [table.dh(0, (mu,)).scale(mu) for mu in range(1, order + 1)]
     lhs = Series.from_coeffs(ring, "x", coeffs, order + 1)
-    zx = x_of_z_series(d_max, order + 2).reversion().rename("x")
+    zx = invert_x_exact(d_max, order + 1)
     rhs = p_series(ring, order + 1).compose(zx).truncate(order + 1)
     ok = lhs == rhs
     return CheckReport("f01", ok, order, "" if ok else _first_series_diff(lhs, rhs))
@@ -554,7 +517,7 @@ def f02_check(d_max: int, order: int) -> CheckReport:
     if order < 1:
         raise ValueError(f"closed-form checks need order >= 1, got {order}")
     table = DHTable(d_max)
-    coeffs = two_point_coefficients(x_of_z_series(d_max, 2 * order + 2).reversion(), order)
+    coeffs = two_point_coefficients(invert_x_exact(d_max, 2 * order + 1), order)
     for mu2 in range(1, order + 1):
         for mu1 in range(1, order + 1):
             got = coeffs[mu1, mu2]

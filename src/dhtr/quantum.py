@@ -81,9 +81,9 @@ class CellRow:
         # for a + b <= K, and a // i + b // i <= K // i is below the digit
         # base.  So the product of the packed ints is the packed product,
         # cut at h <= J by keeping the lowest n slots.  As in
-        # ComplexRing.convolve, a slot sums at most n products, each below
-        # 2**(bits_a + bits_b), so it is below 2**(bits_a+bits_b+bitlen(n));
-        # one more bit holds the sign.
+        # ComplexRing.convolve_fixed, a slot sums at most n products, each
+        # below 2**(bits_a + bits_b), so it is below
+        # 2**(bits_a+bits_b+bitlen(n)); one more bit holds the sign.
         a, b = self.num, other.num
         n = len(a)
         w = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))

@@ -13,7 +13,7 @@ Truncation order is explicit state and every operation propagates it with
 the min rule; nothing silently extends precision.
 
 Products over the exact rings are the schoolbook sum.  Over ComplexRing a
-Series or Poly product is one exact convolution (ComplexRing.convolve): the
+Series product is one exact convolution (ComplexRing.convolve_fixed): the
 real and imaginary part of each coefficient is the exact sum of the exact
 products, rounded once to nearest at mpmath.mp.prec.  A Series converts its
 coefficients to that exact fixed-point form once, on its first use as a
@@ -149,10 +149,10 @@ class ComplexRing:
     """mpmath complex numbers; callers set the working precision via
     mpmath.workprec around whole computations.
 
-    Products of coefficient lists go through `convolve`: every output
-    coefficient is the exact convolution sum, rounded once per real and
-    imaginary part, to nearest at mpmath.mp.prec.  A non-finite input
-    coefficient raises ArithmeticError."""
+    Series products go through `convolve_fixed`: every output coefficient
+    is the exact convolution sum, rounded once per real and imaginary part,
+    to nearest at mpmath.mp.prec.  A non-finite input coefficient raises
+    ArithmeticError."""
 
     def __init__(self, precision: int):
         if precision < 64:
@@ -183,17 +183,13 @@ class ComplexRing:
             raise ZeroDivisionError("division by zero")
         return 1 / x
 
-    def convolve(self, a, b, n):
-        """The first n coefficients of the product of the coefficient lists
-        a and b, by Kronecker substitution: each list's parts become exact
-        ints packed into one big int, so each of the three Gauss products
-        Ar*Br, Ai*Bi and (Ar+Ai)*(Br+Bi) is a single int multiplication."""
-        return self.convolve_fixed(_fixed_point(a[:n]), _fixed_point(b[:n]), n)
-
     def convolve_fixed(self, fa, fb, n):
-        """convolve from the `_fixed_point` forms of the two lists.  A form
-        of a longer list serves as well: only its first n ints enter, and
-        the exact product, hence every rounded bit, does not depend on the
+        """The first n coefficients of the product of two coefficient lists,
+        from their `_fixed_point` forms, by Kronecker substitution: each
+        list's parts are packed into one big int, so each of the three Gauss
+        products Ar*Br, Ai*Bi and (Ar+Ai)*(Br+Bi) is a single int
+        multiplication.  Only the first n ints of a form enter, and the
+        exact product, hence every rounded bit, does not depend on the
         common exponent or the bit bound the form was made with."""
         if fa is None or fb is None:
             return [self.zero] * n
@@ -224,9 +220,7 @@ class ComplexRing:
 
 def _product(ring, a, b, n):
     """The first n coefficients of the product of the coefficient lists a
-    and b: ComplexRing.convolve over mpc, the schoolbook sum otherwise."""
-    if isinstance(ring, ComplexRing):
-        return ring.convolve(a, b, n)
+    and b over an exact ring: the schoolbook sum."""
     out = [ring.zero] * n
     zero = ring.is_zero
     for i, x in enumerate(a[:n]):
@@ -632,8 +626,9 @@ class Series:
 
 
 class Poly:
-    """Dense univariate polynomial over a ring; exact companion to Series
-    for globally defined objects like P(z) and 1 - s z P'(z)."""
+    """Dense univariate polynomial over a ring, for globally defined
+    objects like P(z) and w(z) = 1 - s z P'(z): evaluation, derivative and
+    expansion as a series at a point.  Arithmetic happens on the series."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -641,40 +636,9 @@ class Poly:
         self.ring = ring
         self.coeffs = list(coeffs) if coeffs else [ring.zero]
 
-    @classmethod
-    def from_rationals(cls, ring, values: list) -> "Poly":
-        return cls(ring, [ring.from_rational(v) for v in values])
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else self.ring.zero
-            b = other.coeffs[k] if k < len(other.coeffs) else self.ring.zero
-            out.append(a + b)
-        return Poly(self.ring, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        return Poly(self.ring, _product(self.ring, self.coeffs, other.coeffs, n))
-
-    def scale(self, value) -> "Poly":
-        if isinstance(value, (int, Fraction)):
-            return Poly(self.ring, [self.ring.mul_rational(c, value) for c in self.coeffs])
-        return Poly(self.ring, [c * value for c in self.coeffs])
-
     def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            return Poly(self.ring, [self.ring.zero])
-        return Poly(self.ring, [
-            self.ring.mul_rational(self.coeffs[k], k) for k in range(1, len(self.coeffs))
-        ])
+        mul = self.ring.mul_rational
+        return Poly(self.ring, [mul(c, k) for k, c in enumerate(self.coeffs) if k])
 
     def __call__(self, x):
         acc = self.ring.zero

@@ -8,14 +8,14 @@ import mpmath
 import pytest
 
 from dhtr.curve import (CurveSpec, PhiBasis, SpectralCurve, a_mu_coefficient,
-                        f01_check, f02_check, invert_x_exact)
+                        f01_check, f02_check, invert_x_exact, w_poly)
 from dhtr.cutjoin import DHTable
 from dhtr.oracle import FactorizationOracle, partitions_of
 from dhtr.pruning import PruningKernel, PruningTransform
 from dhtr.quantum import WaveFunction, apply_quantum_curve
 from dhtr.tables import diff_table
 from dhtr.toprec import RecursionEngine
-from dhtr.weightpoly import WeightPolynomial
+from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
 DEFAULT_CURVE = CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256)
 
@@ -135,26 +135,27 @@ def test_criterion_7_closed_form_identities(shared_engine):
     # output, exact x-expansion matches the table
     with mpmath.workprec(engine.prec):
         curve = engine.curve
-        basis = PhiBasis.for_curve(curve)
         z0 = mpmath.mpc("0.29", "0.18")
+        basis = PhiBasis(curve.W, 4, z0)  # phi_1 known through u^1
         jet = None
         for i in (1, 2):
-            phi1 = basis.phi(i, 1).local_series(z0, 2, curve.negligible())
-            phi0 = basis.phi(i, 0).local_series(z0, 2, curve.negligible())
+            phi1 = basis.phi(i, 1)
+            phi0 = basis.phi(i, 0)
             term = phi1.scale(i * curve.q[i - 1]) - phi0.scale(curve.q[i - 1])
             jet = term if jet is None else jet + term
         jet = jet.scale(curve.s ** 2 / 24)
         w11 = engine.form(1, 1).evaluate([z0], curve.branch_points())
         ok_f11_tr = abs(jet.coefficient(1) - w11) < abs(w11) * mpmath.mpf(10) ** -60
 
-    exact_basis = PhiBasis.exact(2)
     table = DHTable(2)
     s = WeightPolynomial.s(2)
+    q = [WeightPolynomial.q(i, 2) for i in (1, 2)]
+    exact_basis = PhiBasis(w_poly(WeightPolyRing(2), q, s), 7)
     series = None
     for i in (1, 2):
-        q_i = WeightPolynomial.q(i, 2)
-        term = (exact_basis.phi(i, 1).series_at_origin(7).scale(q_i.scale(i))
-                - exact_basis.phi(i, 0).series_at_origin(7).scale(q_i))
+        q_i = q[i - 1]
+        term = (exact_basis.phi(i, 1).scale(q_i.scale(i))
+                - exact_basis.phi(i, 0).scale(q_i))
         series = term if series is None else series + term
     f11_x = series.scale((s * s) / 24).compose(invert_x_exact(2, 6))
     ok_f11_table = all(f11_x.coefficient(mu) == table.dh(1, (mu,))
@@ -220,12 +221,11 @@ def test_criterion_8_property_suites(shared_engine):
     # loop equations: phi elements and the (0,3)/(1,1) forms
     with mpmath.workprec(engine.prec):
         tol = mpmath.mpf(10) ** (-engine.prec // 4)
-        basis = PhiBasis.for_curve(engine.curve)
         for frame in frames:
+            basis = PhiBasis(engine.curve.W, 12, frame.a, engine.curve.negligible())
             for i in (1, 2):
                 for k in (0, 1):
-                    local = basis.phi(i, k).local_series(frame.a, 12,
-                                                         engine.curve.negligible())
+                    local = basis.phi(i, k)
                     sym = local + local.compose(frame.sigma)
                     scale = max(abs(co) for co in local.coeffs)
                     for e in range(sym.lo, 0):

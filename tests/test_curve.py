@@ -15,10 +15,11 @@ from dhtr.curve import (
     f02_check,
     invert_x_exact,
     two_point_coefficients,
+    w_poly,
 )
 from dhtr.cutjoin import DHTable, canonical_mu
 from dhtr.pruning import p_series
-from dhtr.series import TruncationError
+from dhtr.series import RationalRing, Series, TruncationError
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
 
@@ -199,8 +200,10 @@ def test_x_inversion_exact():
     q1 = WeightPolynomial.q(1, 2)
     assert zx.coefficient(1) == WeightPolynomial.one(2)
     assert zx.coefficient(2) == q1 * s
-    with pytest.raises(ValueError):
-        invert_x_exact(2, 20)
+    # past the old cap of order 12: [x^mu] z = A_mu^1, the partition sum
+    zx = invert_x_exact(2, 16)
+    assert zx.order == 17
+    assert all(zx.coefficient(mu) == a_mu_coefficient(1, mu, 2) for mu in range(13, 17))
 
 
 def test_a_mu_trivial_and_small():
@@ -233,33 +236,75 @@ def test_a_mu_against_lagrange_inversion():
                 assert power.coefficient(mu) == a_mu_coefficient(i, mu, d_max), (d_max, i, mu)
 
 
-def test_phi_basis_small():
-    basis = PhiBasis.exact(2)
-    phi_m1 = basis.phi(1, -1)
-    assert phi_m1.wpow == 0 and phi_m1.numer.coeffs[1] == WeightPolynomial.one(2)
-    # phi_0^1 = z / w
-    phi0 = basis.phi(1, 0)
-    series = phi0.series_at_origin(4)
-    s, q1, q2 = (WeightPolynomial.s(2), WeightPolynomial.q(1, 2),
-                 WeightPolynomial.q(2, 2))
-    # z/(1 - s(q1 z + 2 q2 z^2)) = z + s q1 z^2 + (2 s q2 + s^2 q1^2) z^3 + ...
-    assert series.coefficient(1) == WeightPolynomial.one(2)
-    assert series.coefficient(2) == q1 * s
-    assert series.coefficient(3) == (q2 * s).scale(2) + q1 * q1 * s * s
+def test_phi_basis_windows_and_poles():
+    # the acceptance curve q = (1, 1), s = 1/10
+    order = 14
+    q, s = [Fraction(1), Fraction(1)], Fraction(1, 10)
+    sym_q = [WeightPolynomial.q(i, 2) for i in (1, 2)]
+    sym_s = WeightPolynomial.s(2)
+
+    # at the origin every phi_k^i keeps the window and is exact, over Q and
+    # over weight polynomials: phi_0^i = i z^i / w and
+    # phi_1^i = i z^i (i w - z w') / w^3
+    for ring, q_ring, s_ring in ((RationalRing(), q, s), (WeightPolyRing(2), sym_q, sym_s)):
+        w = w_poly(ring, q_ring, s_ring)
+        basis = PhiBasis(w, order)
+        z = Series.identity(ring, "u", order)
+        w_series, dw = w.to_series("u", order), w.derivative().to_series("u", order)
+        for i in (1, 2):
+            assert all(basis.phi(i, k).order == order for k in range(-1, 4)), i
+            zi = z.pow_int(i)
+            assert basis.phi(i, 0) * w_series == zi.scale(i)
+            assert (basis.phi(i, 1) * w_series.pow_int(3)
+                    == zi * (w_series.scale(i * i) - (z * dw).scale(i)))
+    # phi_0^1 = z / w = z + s q1 z^2 + (2 s q2 + s^2 q1^2) z^3 + ...
+    phi0 = PhiBasis(w_poly(WeightPolyRing(2), sym_q, sym_s), 4).phi(1, 0)
+    q1, q2 = sym_q
+    assert [phi0.coefficient(e) for e in (1, 2, 3)] == [
+        WeightPolynomial.one(2), q1 * sym_s, (q2 * sym_s).scale(2) + q1 * q1 * sym_s * sym_s]
+
+    acceptance = curve(2, q, s, prec=256)
+    with mpmath.workprec(acceptance.prec):
+        tol = mpmath.mpf(2) ** (-acceptance.prec // 2)
+        # at a regular point the window shrinks by one per step
+        a = mpmath.mpc("0.29", "0.18")
+        basis = PhiBasis(acceptance.W, order, a)
+        for i in (1, 2):
+            assert [(basis.phi(i, k).lo, basis.phi(i, k).order) for k in range(-1, 4)] == [
+                (0, order - k - 1) for k in range(-1, 4)]
+            value = i * a ** i / acceptance.W(a)
+            assert abs(basis.phi(i, 0).coefficient(0) - value) < tol * abs(value)
+    # at a branch point it shrinks by two per step, and phi_k^i starts at
+    # u^-(2k+1) with the leading coefficient of the local expansion:
+    # i a^i / w'(a) at k = 0, times -(2k+1) a / w'(a) per step.  The
+    # acceptance curve's roots 2 and -5/2 make w(a) exactly 0; the second
+    # curve's are irrational, so w(a) is rounding noise to be dropped.
+    for c in (acceptance, curve(3, [1, Fraction(1, 2), 2], Fraction(-1, 5), prec=256)):
+        with mpmath.workprec(c.prec):
+            tol = mpmath.mpf(2) ** (-c.prec // 2)
+            for a in c.branch_points():
+                basis = PhiBasis(c.W, order, a, c.negligible())
+                dw = c.W.derivative()(a)
+                for i in range(1, c.spec.d + 1):
+                    lead = i * a ** i / dw
+                    for k in range(4):
+                        phi = basis.phi(i, k)
+                        assert (phi.lo, phi.order) == (-(2 * k + 1), order - 2 * k - 2), (i, k)
+                        assert abs(phi.coefficient(phi.lo) - lead) < tol * abs(lead), (i, k)
+                        lead *= -(2 * k + 1) * a / dw
 
 
 def test_phi_sigma_symmetrization_analytic():
     # phi_k^i(z) + phi_k^i(sigma(z)) must be analytic at each branch point
     c = curve(2, [1, 1], Fraction(1, 10), prec=256)
-    basis = PhiBasis.for_curve(c)
     order = 14
     with mpmath.workprec(c.prec):
         tol = mpmath.mpf(10) ** (-c.prec // 4)
         for frame in c.frames(order):
+            basis = PhiBasis(c.W, order, frame.a, c.negligible())
             for i in (1, 2):
                 for k in (0, 1, 2):
-                    phi = basis.phi(i, k)
-                    local = phi.local_series(frame.a, order, c.negligible())
+                    local = basis.phi(i, k)
                     sym = local + local.compose(frame.sigma)
                     scale = max(abs(co) for co in local.coeffs)
                     for e in range(sym.lo, 0):

@@ -5,12 +5,12 @@ from math import prod
 import mpmath
 import pytest
 
-from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit
+from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit, w_poly
 from dhtr.cutjoin import DHTable, canonical_mu
 from dhtr.pruning import PruningTransform
 from dhtr.series import Series, SeriesRing, TruncationError
 from dhtr.toprec import CorrelationForm, RecursionEngine, _Basis
-from dhtr.weightpoly import WeightPolynomial
+from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +123,12 @@ def test_f11_closed_form_against_recursion_and_table(engine):
     reproduce the table."""
     with mpmath.workprec(engine.prec):
         curve = engine.curve
-        basis = PhiBasis.for_curve(curve)
         z0 = mpmath.mpc("0.33", "0.21")
+        basis = PhiBasis(curve.W, 4, z0)  # phi_1 known through u^1
         jet = None
         for i in (1, 2):
-            phi1 = basis.phi(i, 1).local_series(z0, 2, curve.negligible())
-            phi0 = basis.phi(i, 0).local_series(z0, 2, curve.negligible())
+            phi1 = basis.phi(i, 1)
+            phi0 = basis.phi(i, 0)
             term = phi1.scale(i * curve.q[i - 1]) - phi0.scale(curve.q[i - 1])
             jet = term if jet is None else jet + term
         jet = jet.scale(curve.s ** 2 / 24)
@@ -138,15 +138,15 @@ def test_f11_closed_form_against_recursion_and_table(engine):
     # exact x-expansion at d_max = 2
     d = 2
     table = DHTable(d)
-    basis = PhiBasis.exact(d)
     order = 7
-    ring = basis.ring
     s = WeightPolynomial.s(d)
+    q = [WeightPolynomial.q(i, d) for i in (1, 2)]
+    basis = PhiBasis(w_poly(WeightPolyRing(d), q, s), order)
     series = None
     for i in (1, 2):
-        phi1 = basis.phi(i, 1).series_at_origin(order)
-        phi0 = basis.phi(i, 0).series_at_origin(order)
-        q_i = WeightPolynomial.q(i, d)
+        phi1 = basis.phi(i, 1)
+        phi0 = basis.phi(i, 0)
+        q_i = q[i - 1]
         term = phi1.scale(q_i.scale(i)) - phi0.scale(q_i)
         series = term if series is None else series + term
     series = series.scale((s * s) / 24)
@@ -214,21 +214,22 @@ def test_phi_decomposition():
 
 def test_phi_fit_matches_recursion(engine):
     # d phi_k = (w/z) phi_{k+1} dz, so the exact coefficients, differentiated
-    # slot by slot, must give the TR form's value
+    # slot by slot, must give the TR form's value; phi_k' at z is the u^1
+    # coefficient of phi_k expanded at z
     curve = engine.curve
-    basis = PhiBasis.for_curve(curve)
     points = [mpmath.mpc("0.31", "0.12"), mpmath.mpc("-0.22", "0.27"),
               mpmath.mpc("0.17", "-0.35")]
     for g, n in [(1, 1), (0, 3), (1, 2)]:
         fit = _phi_fit(g, n)
         with mpmath.workprec(engine.prec):
+            bases = {z: PhiBasis(curve.W, fit.degree_bound + 3, z) for z in points}
             for pts in (points[:n], (points[1:] + points[:1])[:n]):
                 total = 0
                 for combo, c in fit.coefficients.items():
                     for order in set(permutations(combo)):
                         term = engine.ring.from_rational(c)
                         for (i, k), z in zip(order, pts):
-                            term *= curve.W(z) / z * basis.phi(i, k + 1)(z)
+                            term *= bases[z].phi(i, k).coefficient(1)
                         total += term
                 omega = engine.form(g, n).evaluate(pts, curve.branch_points())
                 assert abs(total - omega) < abs(omega) * mpmath.mpf(10) ** -60, (g, n)
