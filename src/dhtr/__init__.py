@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "cutjoin": ("DHTable", "ResourceLimitError"),
-    "curve": ("CurveSpec", "SpectralCurve", "a_mu_coefficient", "invert_x_exact"),
+    "curve": ("CurveSpec", "SpectralCurve", "invert_x_exact"),
     "oracle": ("FactorizationOracle",),
     "pruning": ("PruningKernel", "PruningTransform"),
     "quantum": ("WaveFunction", "apply_quantum_curve", "semiclassical_check"),

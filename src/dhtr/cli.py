@@ -199,6 +199,8 @@ def cmd_tr_verify(args) -> int:
     payload = {"g": args.g, "n": args.n, "mu_max": args.mu_max,
                "tolerance": _nstr(report.tolerance),
                "max_residual": _nstr(report.max_residual),
+               **({"asymmetry": _nstr(report.asymmetry)}
+                  if report.asymmetry >= report.tolerance else {}),
                "verdict": "PASS" if report.ok else "FAIL", "rows": rows}
     if args.stability:
         stab = engine.stability_report(args.g, args.n)

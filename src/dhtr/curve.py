@@ -2,16 +2,16 @@
 
 Branch points are the zeros of w(z) = 1 - s z P'(z) (`w_poly`); each is
 assumed simple and carries a local frame: the local involution sigma
-exchanging the two sheets of x, its derivative, the local omega_{0,1} and
-the recursion kernel 1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)).
-A curve builds its frames once, at the largest order requested so far;
-smaller orders get truncated views of that build, which equal a fresh build
-bit for bit.  The module also hosts the x-inversion at the origin (numeric
-and exact), the partition-sum coefficients of z^i = sum A_mu^i x^mu, the
-phi basis spanning the space of loop-equation solutions, as series at one
-point (`PhiBasis`), and exact series checks of the closed forms for the
-(0,1) and (0,2) generating functions.  The two-point coefficients are read
-off the powers z(x)^k and z(x)^-k of one-variable series
+exchanging the two sheets of x, its derivative and the recursion kernel
+1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)), where omega_{0,1} is
+P(z) (1/z - s P'(z)) dz at z = a + u.  A curve builds its frames once, at
+the largest order requested so far; smaller orders get truncated views of
+that build, which equal a fresh build bit for bit.  The module also hosts
+the x-inversion at the origin (numeric and exact), the phi basis spanning
+the space of loop-equation solutions, as series at one point
+(`PhiBasis`), and exact series checks of the closed forms for the (0,1)
+and (0,2) generating functions.  The two-point coefficients are read off
+the powers z(x)^k and z(x)^-k of one-variable series
 (`two_point_coefficients`), over any ring.  `phi_fit` checks the
 polynomial structure of the pruned numbers exactly: F_{g,n} in z lies in
 the span of the phi products of bounded degree.
@@ -28,13 +28,13 @@ from math import comb, prod
 import mpmath
 
 from .cutjoin import DHTable
-from .pruning import PruningKernel, PruningTransform, p_series, x_of_z, x_of_z_series
+from .pruning import PruningTransform, p_series, x_of_z, x_of_z_series
 from .series import ComplexRing, Poly, RationalRing, Series
-from .weightpoly import WeightPolynomial, WeightPolyRing
+from .weightpoly import WeightPolyRing
 
 __all__ = [
     "CurveSpec", "BranchPointData", "SpectralCurve", "DegenerateCurveError",
-    "a_mu_coefficient", "invert_x_exact", "w_poly", "PhiBasis",
+    "invert_x_exact", "w_poly", "PhiBasis",
     "PhiFitReport", "phi_fit", "f01_check", "f02_check", "CheckReport",
     "two_point_coefficients",
 ]
@@ -135,7 +135,6 @@ class BranchPointData:
     a: object
     sigma: Series               # sigma(a+u) - a, linear coefficient -1
     sigma_prime: Series         # d sigma / du
-    omega01: Series             # P(a+u) (1/(a+u) - s P'(a+u)), multiplies du
     kernel: Series              # 1/(omega01(u) - omega01(sigma(u)) sigma'(u)), from u^-2
 
 
@@ -221,7 +220,7 @@ class SpectralCurve:
             self._frames_order = order
         cut = self._frames_order - order
         return [BranchPointData(bp.index, bp.a, *(s.truncate(s.order - cut) for s in (
-            bp.sigma, bp.sigma_prime, bp.omega01, bp.kernel))) for bp in self._frames]
+            bp.sigma, bp.sigma_prime, bp.kernel))) for bp in self._frames]
 
     def _frame(self, index: int, a, order: int) -> BranchPointData:
         ring = self.ring
@@ -249,7 +248,7 @@ class SpectralCurve:
         #   t(u) := u sqrt(1 + rho(u)),  sigma := t^{-1}(-t(u)).
         x_shift = Series(ring, "u", 0,
                          [ring.zero, ring.zero] + x_series.coeffs[2:], n)
-        ratio = x_shift.shift(-2).strip_leading(ring.is_zero).div_scalar(x2)
+        ratio = x_shift.shift(-2).strip_leading(ring.is_zero).scale(ring.invert(x2))
         # constant term is exactly 1 mathematically; clamp the half-ulp of
         # division noise so the series square root sees a unit constant
         ratio = Series(ring, "u", 0, [ring.one] + ratio.coeffs[1:], ratio.order)
@@ -269,7 +268,7 @@ class SpectralCurve:
                 f"kernel denominator vanishes to order {dden.lo} (expected "
                 f"exactly 2) at branch point {index}"
             )
-        return BranchPointData(index, a, sigma, sigma_prime, omega01, dden.inverse())
+        return BranchPointData(index, a, sigma, sigma_prime, dden.inverse())
 
     def _check_involution(self, index: int, x_series: Series, sigma: Series, scale) -> None:
         # sigma o sigma = id and x o sigma = x to the available window
@@ -303,20 +302,6 @@ def invert_x_exact(d_max: int, order: int) -> Series:
     """z(x) over weight polynomials (q's and s symbolic), trusted through
     exponent `order`: the exact reversion of x(z)."""
     return x_of_z_series(d_max, order + 1).reversion().rename("x")
-
-
-# ----------------------------------------------------------------------
-# partition-sum coefficients A_mu^i
-
-
-def a_mu_coefficient(i: int, mu: int, d_max: int) -> WeightPolynomial:
-    """A_mu^i, the coefficient of x^mu in z^i = sum_mu A_mu^i x^mu; by
-    Lagrange inversion it is the pruning kernel C(mu, i) = i * sum over
-    partitions lambda of mu - i (parts <= d_max) of mu^(len(lambda)-1) /
-    |Aut lambda| * q_lambda * s^len(lambda)."""
-    if i < 1:
-        raise ValueError("i must be positive")
-    return PruningKernel(d_max).c(mu, i)
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +444,7 @@ def _eliminate(pivots: list, row: list) -> bool:
 
 @dataclass
 class CheckReport:
-    name: str
     ok: bool
-    order: int
     detail: str = ""
 
 
@@ -477,7 +460,7 @@ def f01_check(d_max: int, order: int) -> CheckReport:
     zx = invert_x_exact(d_max, order + 1)
     rhs = p_series(ring, order + 1).compose(zx).truncate(order + 1)
     ok = lhs == rhs
-    return CheckReport("f01", ok, order, "" if ok else _first_series_diff(lhs, rhs))
+    return CheckReport(ok, "" if ok else _first_series_diff(lhs, rhs))
 
 
 def two_point_coefficients(zx: Series, mu_max: int) -> dict[tuple[int, int], object]:
@@ -522,12 +505,10 @@ def f02_check(d_max: int, order: int) -> CheckReport:
         for mu1 in range(1, order + 1):
             got = coeffs[mu1, mu2]
             if got != table.dh(0, (mu1, mu2)):
-                return CheckReport("f02", False, order,
-                                   f"first mismatch at (mu1, mu2) = ({mu1}, {mu2})")
+                return CheckReport(False, f"first mismatch at (mu1, mu2) = ({mu1}, {mu2})")
             if not got.s_coefficient(0).is_zero():
-                return CheckReport("f02", False, order,
-                                   f"nonzero s^0 part at ({mu1}, {mu2})")
-    return CheckReport("f02", True, order)
+                return CheckReport(False, f"nonzero s^0 part at ({mu1}, {mu2})")
+    return CheckReport(True)
 
 
 def _first_series_diff(a: Series, b: Series) -> str:

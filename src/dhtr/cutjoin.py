@@ -43,11 +43,33 @@ from math import comb, factorial, prod
 
 from .weightpoly import WeightPolynomial, WeightPolyRing
 
-__all__ = ["DHTable", "ResourceLimitError", "canonical_mu", "splits"]
+__all__ = ["DHTable", "ResourceLimitError", "canonical_mu", "partitions_of", "splits"]
+
+# caps on a table's keys, and a bound on the tuple counts it stores: keys
+# within the caps, like DH_{9,3}(9,9,9), can recurse for hours, while
+# DH_{1,2}(12,12) at d = 24 stores 208,736 counts
+MAX_TOTAL = 60
+MAX_GENUS = 16
+MAX_COUNTS = 500_000
 
 
 class ResourceLimitError(ValueError):
-    """A key past the table's configured caps: a usage error."""
+    """A key past the table's caps, or a table past its bound on stored
+    counts: a usage error."""
+
+
+def partitions_of(total: int, max_part: int | None = None):
+    """Integer partitions of `total`, parts weakly decreasing."""
+    max_part = total if max_part is None else min(max_part, total)
+
+    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - part, part, prefix + (part,))
+
+    yield from rec(total, max_part, ())
 
 
 def canonical_mu(mu) -> tuple[int, ...]:
@@ -121,17 +143,16 @@ class DHTable:
     finished entries need no synchronization.
     """
 
-    def __init__(self, d_max: int, max_total: int = 60, max_genus: int = 16):
+    def __init__(self, d_max: int):
         if d_max < 1:
             raise ValueError("d_max must be positive")
         self.d_max = d_max
-        self.max_total = max_total
-        self.max_genus = max_genus
         self.ring = WeightPolyRing(d_max)
-        # no exponent nor len(lambda) exceeds |mu| <= max_total
-        self._bits = max_total.bit_length()
+        # no exponent nor len(lambda) exceeds |mu| <= MAX_TOTAL
+        self._bits = MAX_TOTAL.bit_length()
         self._memo: dict[tuple[int, tuple[int, ...]], WeightPolynomial] = {}
         self._counts: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        self._stored = 0  # sum of len(counts) over self._counts
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -141,10 +162,10 @@ class DHTable:
         mu = canonical_mu(mu)
         if g < 0:
             raise ValueError(f"genus must be >= 0, got {g}")
-        if g > self.max_genus or sum(mu) > self.max_total:
+        if g > MAX_GENUS or sum(mu) > MAX_TOTAL:
             raise ResourceLimitError(
                 f"DH_{{{g},{len(mu)}}}{mu} exceeds configured caps "
-                f"(|mu| <= {self.max_total}, g <= {self.max_genus})"
+                f"(|mu| <= {MAX_TOTAL}, g <= {MAX_GENUS})"
             )
         key = (g, mu)
         hit = self._memo.get(key)
@@ -164,7 +185,8 @@ class DHTable:
         return self._memo[key]
 
     def _tuple_counts(self, g: int, mu: tuple[int, ...]) -> dict[int, int]:
-        """lambda (packed) -> N for weakly decreasing mu, no caps checked."""
+        """lambda (packed) -> N for weakly decreasing mu; the key caps are
+        not checked, the bound on stored counts is."""
         key = (g, mu)
         hit = self._counts.get(key)
         if hit is not None:
@@ -204,7 +226,12 @@ class DHTable:
             # lambda = (mu): one part, exponent 1 at q_mu
             counts[(1 << top) + (1 << self._bits * (mu[0] - 1))] = 1
         with self._lock:
-            self._counts.setdefault(key, counts)
+            if key not in self._counts:
+                if self._stored + len(counts) > MAX_COUNTS:
+                    raise ResourceLimitError(
+                        f"the table would store more than {MAX_COUNTS} tuple counts")
+                self._stored += len(counts)
+                self._counts[key] = counts
         return self._counts[key]
 
     # ------------------------------------------------------------------

@@ -29,18 +29,17 @@ It reaches |mu| = DEGREE_CAP in seconds.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 
-from .cutjoin import DHTable, canonical_mu, splits
+from .cutjoin import DHTable, canonical_mu, partitions_of, splits
 from .weightpoly import WeightPolynomial
 
 __all__ = ["FactorizationOracle", "OracleReport", "DegreeCapError",
-           "OracleValidationError", "DEGREE_CAP", "dfs_count", "partitions_of",
-           "transitive_count"]
+           "OracleValidationError", "DEGREE_CAP", "dfs_count", "transitive_count"]
 
 
 # covers every |mu| that verify_conjecture(0, 4, mu_max=4) consumes
@@ -54,20 +53,6 @@ class DegreeCapError(ValueError):
 class OracleValidationError(ArithmeticError):
     """The tuple-count normalization failed its golden cross-check: the
     oracle cannot compute a trustworthy polynomial (not a usage error)."""
-
-
-def partitions_of(total: int, max_part: int | None = None):
-    """Integer partitions of `total`, parts weakly decreasing."""
-    max_part = total if max_part is None else min(max_part, total)
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(total, max_part, ())
 
 
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -243,13 +228,11 @@ def transitive_count(lam: tuple[int, ...], mu: tuple[int, ...], m: int) -> int:
 
 @dataclass
 class OracleReport:
-    g: int
-    mu: tuple[int, ...]
     equal: bool
     counts: dict[tuple[tuple[int, ...], int], int]
     oracle_poly: WeightPolynomial
     recursion_poly: WeightPolynomial
-    diffs: list = field(default_factory=list)
+    diffs: list
 
 
 class FactorizationOracle:
@@ -286,16 +269,16 @@ class FactorizationOracle:
         return out
 
     def oracle_dh(self, g: int, mu) -> WeightPolynomial:
-        mu = canonical_mu(mu)
-        result = WeightPolynomial.zero(self.d_max)
-        for (lam, m), count in self.counts(g, mu).items():
-            if not count:
-                continue
-            weight = self.tuple_weight(count, m, mu)
-            result = result + WeightPolynomial.q_partition(
-                lam, self.d_max, coeff=weight, s_exponent=m
-            )
-        return result
+        return self._polynomial(canonical_mu(mu), self.counts(g, mu))
+
+    def _polynomial(self, mu: tuple[int, ...], counts) -> WeightPolynomial:
+        """The sum of q_lambda s^m times the cover weight of N(lambda, m), in
+        one terms dict: each lambda has one m, so no two terms share a key."""
+        terms = {}
+        for (lam, m), count in counts.items():
+            terms.update(WeightPolynomial.q_partition(
+                lam, self.d_max, self.tuple_weight(count, m, mu), m).terms)
+        return WeightPolynomial(self.d_max, terms)
 
     # ------------------------------------------------------------------
 
@@ -334,7 +317,7 @@ class FactorizationOracle:
         if table.d_max != self.d_max:
             raise ValueError("oracle and table d_max differ")
         counts = self.counts(g, mu)
-        mine = self.oracle_dh(g, mu)
+        mine = self._polynomial(mu, counts)
         theirs = table.dh(g, mu)
         diffs = []
         if mine != theirs:
@@ -344,7 +327,5 @@ class FactorizationOracle:
                 b = theirs.terms.get(key, Fraction(0))
                 if a != b:
                     diffs.append((key, a, b))
-        return OracleReport(
-            g=g, mu=mu, equal=not diffs, counts=counts,
-            oracle_poly=mine, recursion_poly=theirs, diffs=diffs,
-        )
+        return OracleReport(equal=not diffs, counts=counts, oracle_poly=mine,
+                            recursion_poly=theirs, diffs=diffs)

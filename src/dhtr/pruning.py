@@ -20,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .cutjoin import DHTable, canonical_mu
-from .oracle import partitions_of
+from .cutjoin import DHTable, canonical_mu, partitions_of
 from .series import Series
 from .weightpoly import WeightPolynomial, WeightPolyRing
 

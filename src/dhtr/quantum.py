@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
-from .cutjoin import DHTable
-from .oracle import partitions_of
+from .cutjoin import DHTable, partitions_of
 from .pruning import p_series, x_of_z_series
 from .series import Series, TruncationError, _pack, _unpack
 from .weightpoly import WeightPolynomial, WeightPolyRing
@@ -259,9 +258,6 @@ class WaveFunction:
 
 @dataclass
 class QuantumCurveReport:
-    d: int
-    K: int
-    L: int
     residuals: dict[Cell, WeightPolynomial]
     checked_cells: list[Cell]
     off_grading: dict[Cell, WeightPolynomial]
@@ -312,7 +308,7 @@ def apply_quantum_curve(wf: WaveFunction) -> QuantumCurveReport:
             checked.append((m, j))
             if not total.is_zero():
                 residuals[(m, j)] = total
-    return QuantumCurveReport(d, wf.K, wf.L, residuals, checked, dict(wf.off_grading))
+    return QuantumCurveReport(residuals, checked, dict(wf.off_grading))
 
 
 def semiclassical_check(d: int, order: int = 10) -> bool:

@@ -290,8 +290,8 @@ class Series:
     # constructors
 
     @classmethod
-    def zero(cls, ring, var: str, order: int, lo: int = 0) -> "Series":
-        lo = min(lo, order)
+    def zero(cls, ring, var: str, order: int) -> "Series":
+        lo = min(0, order)
         return cls(ring, var, lo, [ring.zero] * (order - lo), order)
 
     @classmethod
@@ -439,11 +439,6 @@ class Series:
             coeffs = [c * value for c in self.coeffs]
         return Series(self.ring, self.var, self.lo, coeffs, self.order)
 
-    def div_scalar(self, value) -> "Series":
-        if isinstance(value, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(value))
-        return self.scale(self.ring.invert(value))
-
     def inverse(self) -> "Series":
         """Multiplicative inverse; the lowest not-exactly-zero coefficient
         must be invertible (numeric series with below-noise heads must
@@ -463,9 +458,6 @@ class Series:
                     acc = acc + ck * out[m - k]
             out[m] = -(acc * c0_inv)
         return Series(self.ring, self.var, -self.lo, out, -self.lo + n)
-
-    def __truediv__(self, other: "Series") -> "Series":
-        return self * other.inverse()
 
     def pow_int(self, exponent: int) -> "Series":
         if exponent < 0:
@@ -496,20 +488,6 @@ class Series:
             lo, coeffs = 1, coeffs[1:]
         out = [self.ring.mul_rational(c, lo + k) for k, c in enumerate(coeffs)]
         return Series(self.ring, self.var, lo - 1, out, self.order - 1)
-
-    def antiderivative(self) -> "Series":
-        """Termwise integral with zero constant; requires a vanishing
-        residue."""
-        coeffs = []
-        for k, c in enumerate(self.coeffs):
-            e = self.lo + k
-            if e == -1:
-                if not self.ring.is_zero(c):
-                    raise AlgebraError("cannot integrate a series with nonzero residue")
-                coeffs.append(self.ring.zero)
-            else:
-                coeffs.append(self.ring.mul_rational(c, Fraction(1, e + 1)))
-        return Series(self.ring, self.var, self.lo + 1, coeffs, self.order + 1)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term and no negative part."""

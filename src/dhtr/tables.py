@@ -41,7 +41,6 @@ class GoldenRow:
 
 @dataclass
 class TableDiff:
-    table: str
     mismatches: list = field(default_factory=list)
     row_count: int = 0
 
@@ -92,7 +91,7 @@ def regenerate(table: str):
 def diff_table(table: str, regenerated=None) -> TableDiff:
     """Diff the (row, computed) pairs of `regenerate(table)`, computed here
     unless given."""
-    diff = TableDiff(table=table)
+    diff = TableDiff()
     for row, computed in regenerate(table) if regenerated is None else regenerated:
         diff.row_count += 1
         got = computed.at_s_one()

@@ -80,14 +80,16 @@ class VerifyRow:
 
 @dataclass
 class VerifyReport:
-    g: int
-    n: int
+    """The rows, and the form's relative asymmetry, which must also stay
+    below the tolerance."""
+
     rows: list[VerifyRow]
     tolerance: object
+    asymmetry: object
 
     @property
     def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
+        return self.asymmetry < self.tolerance and all(row.ok for row in self.rows)
 
     @property
     def max_residual(self):
@@ -96,8 +98,6 @@ class VerifyReport:
 
 @dataclass
 class LoopCheckReport:
-    g: int
-    n: int
     worst: object
     tolerance: object
 
@@ -106,7 +106,7 @@ class LoopCheckReport:
         return self.worst < self.tolerance
 
 
-def _report(g: int, n: int, triples, tolerance) -> VerifyReport:
+def _report(triples, tolerance, asymmetry=0) -> VerifyReport:
     """The report on (mu, predicted, expected) triples, rows in the given
     order.  Residuals are relative to the row's own value; rows whose exact
     value vanishes (impossible covers, or a two-point value that is zero at
@@ -119,7 +119,7 @@ def _report(g: int, n: int, triples, tolerance) -> VerifyReport:
         denom = abs(expected) if expected != 0 else ref
         residual = abs(pred - expected) / denom
         rows.append(VerifyRow(mu, pred, expected, residual, bool(residual < tolerance)))
-    return VerifyReport(g, n, rows, tolerance)
+    return VerifyReport(rows, tolerance, asymmetry)
 
 
 def _label(index: tuple[int, int]) -> tuple[int, int]:
@@ -210,9 +210,6 @@ class RecursionEngine:
     # ------------------------------------------------------------------
     # tolerances
 
-    def trim_tol(self):
-        return mpmath.mpf(2) ** (-(3 * self.prec) // 4)
-
     def default_tolerance(self):
         return mpmath.mpf(10) ** (-self.prec // 4)
 
@@ -283,7 +280,7 @@ class RecursionEngine:
         scale = form.scale()
         if not scale:
             return
-        cutoff = scale * self.trim_tol()
+        cutoff = scale * mpmath.mpf(2) ** (-(3 * self.prec) // 4)
         form.coeffs = {idx: c for idx, c in form.coeffs.items() if abs(c) > cutoff}
 
     def _bracket_blocks(self, g: int, n: int, basis: _Basis, k02_max: int):
@@ -434,7 +431,8 @@ class RecursionEngine:
     def verify_conjecture(self, g: int, n: int, mu_max: int,
                           tolerance=None) -> VerifyReport:
         """Compare the origin expansion of omega_{g,n} with the exact
-        recursion values specialized at this curve's weights."""
+        recursion values specialized at this curve's weights; the report
+        also fails if the form's asymmetry is not below the tolerance."""
         if mu_max < 1:
             raise ValueError(f"mu_max must be at least 1, got {mu_max}")
         tolerance = self._tolerance(tolerance)
@@ -445,8 +443,8 @@ class RecursionEngine:
             q, s = list(self.curve.spec.q_values), self.curve.spec.s_value
             expected = {key: self.ring.from_rational(self.table.dh(g, key).specialize(q, s))
                         for key in {canonical_mu(mu) for mu in predicted}}
-            return _report(g, n, [(mu, predicted[mu], expected[canonical_mu(mu)])
-                                  for mu in sorted(predicted)], tolerance)
+            return _report([(mu, predicted[mu], expected[canonical_mu(mu)])
+                            for mu in sorted(predicted)], tolerance, form.asymmetry)
 
     def omega02_origin_check(self, mu_max: int, tolerance=None):
         """The unstable two-point case: expansion of
@@ -466,7 +464,7 @@ class RecursionEngine:
             triples = [((mu1, mu2), predicted[mu1, mu2],
                         self.ring.from_rational(self.table.dh(0, (mu1, mu2)).specialize(q, s)))
                        for mu2 in range(1, mu_max + 1) for mu1 in range(1, mu_max + 1)]
-            return _report(0, 2, triples, tolerance)
+            return _report(triples, tolerance)
 
     # ------------------------------------------------------------------
     # loop equations
@@ -511,7 +509,7 @@ class RecursionEngine:
                         principal = max(principal, abs(sym.coefficient(e)))
                     rel = principal / f_scale if f_scale else mpmath.mpf(0)
                     worst = max(worst, rel)
-            return LoopCheckReport(g, n, worst, tolerance)
+            return LoopCheckReport(worst, tolerance)
 
     # ------------------------------------------------------------------
     # stability

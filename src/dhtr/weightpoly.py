@@ -71,10 +71,6 @@ class WeightPolynomial:
     # constructors
 
     @classmethod
-    def zero(cls, d_max: int) -> "WeightPolynomial":
-        return cls(d_max)
-
-    @classmethod
     def one(cls, d_max: int) -> "WeightPolynomial":
         return cls.rational(Fraction(1), d_max)
 
@@ -195,20 +191,10 @@ class WeightPolynomial:
 
     def inverse_unit(self) -> "WeightPolynomial":
         """Inverse of a polynomial that is a nonzero rational constant."""
-        const = self.constant_value()
-        if const is None or const == 0:
+        const = self.terms.get((0,) * (self.d_max + 1))
+        if const is None or len(self.terms) > 1:
             raise ZeroDivisionError("weight polynomial is not an invertible constant")
         return WeightPolynomial.rational(Fraction(1) / const, self.d_max)
-
-    def constant_value(self) -> Fraction | None:
-        """The rational value if the polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            key, coeff = next(iter(self.terms.items()))
-            if all(e == 0 for e in key):
-                return coeff
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightPolynomial):
@@ -222,9 +208,6 @@ class WeightPolynomial:
 
     # ------------------------------------------------------------------
     # structure queries
-
-    def s_degree(self) -> int:
-        return max((key[-1] for key in self.terms), default=0)
 
     def s_coefficient(self, m: int) -> "WeightPolynomial":
         """The polynomial in the q's multiplying s^m (s stripped)."""
@@ -347,7 +330,7 @@ class WeightPolyRing:
 
     def __init__(self, d_max: int):
         self.d_max = d_max
-        self.zero = WeightPolynomial.zero(d_max)
+        self.zero = WeightPolynomial(d_max)
         self.one = WeightPolynomial.one(d_max)
 
     def from_rational(self, value: Fraction | int) -> WeightPolynomial:

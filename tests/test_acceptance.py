@@ -7,10 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from dhtr.curve import (CurveSpec, PhiBasis, SpectralCurve, a_mu_coefficient,
-                        f01_check, f02_check, invert_x_exact, w_poly)
-from dhtr.cutjoin import DHTable
-from dhtr.oracle import FactorizationOracle, partitions_of
+from dhtr.curve import (CurveSpec, PhiBasis, SpectralCurve, f01_check, f02_check,
+                        invert_x_exact, w_poly)
+from dhtr.cutjoin import DHTable, partitions_of
+from dhtr.oracle import FactorizationOracle
 from dhtr.pruning import PruningKernel, PruningTransform
 from dhtr.quantum import WaveFunction, apply_quantum_curve
 from dhtr.tables import diff_table
@@ -216,7 +216,7 @@ def test_criterion_8_property_suites(shared_engine):
             if i > 1:
                 power = (power * zx).truncate(9)
             for mu in range(1, 9):
-                ok = ok and power.coefficient(mu) == a_mu_coefficient(i, mu, d_max)
+                ok = ok and power.coefficient(mu) == PruningKernel(d_max).c(mu, i)
 
     # loop equations: phi elements and the (0,3)/(1,1) forms
     with mpmath.workprec(engine.prec):

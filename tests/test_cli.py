@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -318,6 +319,37 @@ def test_oracle_degree_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "oracle", "--g", "0", "--mu", "17")
     assert code == 2 and not out
     assert err == "error: degree 17 exceeds the oracle cap 16\n"
+
+
+def test_table_past_its_stored_counts_is_a_usage_error(capsys):
+    # DH_{9,3}(9,9,9) passes the key caps, but its recursion would run for
+    # hours; the bound on the counts a table stores ends it in seconds
+    code, out, err = run(capsys, "dh", "--g", "9", "--mu", "9,9,9")
+    assert code == 2 and not out
+    assert err.startswith("error: the table would store more than 500000 tuple counts")
+
+
+def test_asymmetric_form_fails_the_verdict(capsys, monkeypatch):
+    # omega_{0,4} is memoized with one coefficient moved by 1e-40 of the
+    # form's scale.  The one row at mu_max = 1 moves by about 1e-41, so at
+    # the tolerance 3e-41 every row passes and only the symmetry self-check
+    # fails the verdict.
+    from dhtr.toprec import RecursionEngine
+
+    trim = RecursionEngine._trim
+
+    def trim_and_move(self, form):
+        trim(self, form)
+        if (form.g, form.n) == (0, 4):
+            form.coeffs[(0, 3), (0, 1), (0, 1), (0, 1)] += form.scale() * mpmath.mpf("1e-40")
+
+    monkeypatch.setattr(RecursionEngine, "_trim", trim_and_move)
+    code, out, _ = run(capsys, "tr-verify", "--g", "0", "--n", "4", "--mu-max", "1",
+                       "--tolerance", "3e-41", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["verdict"] == "FAIL"
+    assert [row["verdict"] for row in payload["rows"]] == ["PASS"]
+    assert 0.9e-40 < float(payload["asymmetry"]) < 1.1e-40
 
 
 def test_closed_stdout_exits_141_without_traceback():

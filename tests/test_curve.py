@@ -10,7 +10,6 @@ from dhtr.curve import (
     DegenerateCurveError,
     PhiBasis,
     SpectralCurve,
-    a_mu_coefficient,
     f01_check,
     f02_check,
     invert_x_exact,
@@ -18,7 +17,7 @@ from dhtr.curve import (
     w_poly,
 )
 from dhtr.cutjoin import DHTable, canonical_mu
-from dhtr.pruning import p_series
+from dhtr.pruning import PruningKernel, p_series
 from dhtr.series import RationalRing, Series, TruncationError
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
@@ -149,7 +148,7 @@ def test_frames_views_match_fresh_build():
     fresh = curve(2, [1, 1], Fraction(1, 10), prec=256).frames(12)
     for view, ref in zip(wide.frames(12), fresh, strict=True):
         assert view.a._mpc_ == ref.a._mpc_
-        for name in ("sigma", "sigma_prime", "omega01", "kernel"):
+        for name in ("sigma", "sigma_prime", "kernel"):
             assert _bits(getattr(view, name)) == _bits(getattr(ref, name)), name
 
 
@@ -203,16 +202,16 @@ def test_x_inversion_exact():
     # past the old cap of order 12: [x^mu] z = A_mu^1, the partition sum
     zx = invert_x_exact(2, 16)
     assert zx.order == 17
-    assert all(zx.coefficient(mu) == a_mu_coefficient(1, mu, 2) for mu in range(13, 17))
+    assert all(zx.coefficient(mu) == PruningKernel(2).c(mu, 1) for mu in range(13, 17))
 
 
 def test_a_mu_trivial_and_small():
-    assert a_mu_coefficient(3, 3, 2) == WeightPolynomial.one(2)
-    assert a_mu_coefficient(2, 1, 2).is_zero()
+    assert PruningKernel(2).c(3, 3) == WeightPolynomial.one(2)
+    assert PruningKernel(2).c(1, 2).is_zero()
     # A_3^1 = s q2 + (3/2) s^2 q1^2 for d >= 2
     q1, q2, s = (WeightPolynomial.q(1, 2), WeightPolynomial.q(2, 2),
                  WeightPolynomial.s(2))
-    assert a_mu_coefficient(1, 3, 2) == q2 * s + (q1 * q1 * s * s).scale(Fraction(3, 2))
+    assert PruningKernel(2).c(3, 1) == q2 * s + (q1 * q1 * s * s).scale(Fraction(3, 2))
 
 
 def test_a_mu_single_weight_closed_form():
@@ -221,7 +220,7 @@ def test_a_mu_single_weight_closed_form():
         expected = WeightPolynomial.monomial(
             (mu - 1,), mu - 1, Fraction(mu ** max(mu - 2, 0), factorial(mu - 1)), 1
         )
-        assert a_mu_coefficient(1, mu, 1) == expected
+        assert PruningKernel(1).c(mu, 1) == expected
 
 
 def test_a_mu_against_lagrange_inversion():
@@ -233,7 +232,7 @@ def test_a_mu_against_lagrange_inversion():
             if i > 1:
                 power = (power * zx).truncate(9)
             for mu in range(1, 9):
-                assert power.coefficient(mu) == a_mu_coefficient(i, mu, d_max), (d_max, i, mu)
+                assert power.coefficient(mu) == PruningKernel(d_max).c(mu, i), (d_max, i, mu)
 
 
 def test_phi_basis_windows_and_poles():

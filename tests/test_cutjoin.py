@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dhtr import cutjoin
-from dhtr.cutjoin import DHTable, ResourceLimitError, canonical_mu
-from dhtr.oracle import partitions_of
+from dhtr.cutjoin import DHTable, ResourceLimitError, canonical_mu, partitions_of
 from dhtr.tables import load_golden
 from dhtr.weightpoly import WeightPolynomial
 
@@ -134,11 +133,25 @@ def test_canonicalization_and_caps():
         canonical_mu(())
     with pytest.raises(ValueError):
         canonical_mu((0, 1))
-    tiny = DHTable(2, max_total=4, max_genus=1)
+    table = DHTable(2)
     with pytest.raises(ResourceLimitError):
-        tiny.dh(0, (5,))
+        table.dh(0, (61,))
     with pytest.raises(ResourceLimitError):
-        tiny.dh(2, (2,))
+        table.dh(17, (2,))
+
+
+def test_stored_counts_bound(monkeypatch):
+    reference = DHTable(3)
+    reference.dh(1, (3, 2))
+    stored = sum(map(len, reference._counts.values()))
+    monkeypatch.setattr(cutjoin, "MAX_COUNTS", stored)
+    table = DHTable(3)
+    assert table.dh(1, (3, 2)) == reference.dh(1, (3, 2))  # exactly at the bound
+    assert table._stored == stored
+    with pytest.raises(ResourceLimitError, match=f"more than {stored} tuple counts"):
+        table.dh(1, (3, 3))
+    assert table.dh(1, (2, 3)) == reference.dh(1, (3, 2))  # a stored key is still read
+    assert table._stored == stored
 
 
 def test_memo_reuse(table5):
@@ -148,6 +161,7 @@ def test_memo_reuse(table5):
 
 
 def test_concurrent_builds_are_idempotent():
+    import sys
     import threading
 
     table = DHTable(3)
@@ -157,11 +171,19 @@ def test_concurrent_builds_are_idempotent():
         results.append(table.dh(2, (3,)))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
     assert all(r == results[0] for r in results)
+    # every stored key is counted once against the bound
+    assert table._stored == sum(map(len, table._counts.values()))
     # reads return the single stored object
     assert table.dh(2, (3,)) is table.dh(2, (3,))
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dhtr.cutjoin import DHTable
+from dhtr.cutjoin import DHTable, partitions_of
 from dhtr.oracle import (
     DEGREE_CAP,
     DegreeCapError,
@@ -11,7 +11,6 @@ from dhtr.oracle import (
     cycle_type,
     dfs_count,
     orbit_partition,
-    partitions_of,
     rho_from_mu,
     transitive_count,
 )

@@ -39,7 +39,7 @@ def reversion_by_substitution(f, order):
 
 
 # ----------------------------------------------------------------------
-# multiplication / addition / division
+# multiplication / addition / inverse
 
 
 def test_mul_difference_of_squares():
@@ -52,7 +52,7 @@ def test_mul_difference_of_squares():
 def test_div_geometric_series():
     one = qseries([1, 0, 0, 0])
     denom = qseries([1, -1, 0, 0])
-    quot = one / denom
+    quot = one * denom.inverse()
     assert [quot.coefficient(k) for k in range(4)] == [1, 1, 1, 1]
 
 
@@ -90,10 +90,10 @@ def test_ring_and_variable_mismatch():
 def test_division_by_zero_leading_coefficient():
     a = qseries([1, 1])
     with pytest.raises(AlgebraError):
-        a / Series.zero(QQ, "z", 2)
-    # dividing by a series with exactly-zero head is Laurent division
+        Series.zero(QQ, "z", 2).inverse()
+    # the inverse of a series with exactly-zero head is a Laurent series
     b = qseries([0, 1])
-    quot = a / b
+    quot = a * b.inverse()
     assert quot.lo == -1 and quot.coefficient(-1) == 1
 
 
@@ -286,17 +286,6 @@ def test_residue_reads_minus_one():
 def test_residue_of_derivative_vanishes(coeffs, lo):
     f = qseries(coeffs, lo=lo)
     assert f.derivative().residue() == 0
-
-
-def test_antiderivative_requires_zero_residue():
-    f = qseries([1], lo=-1)
-    with pytest.raises(AlgebraError):
-        f.antiderivative()
-    g = qseries([3, 0, 2], lo=-4)  # 3 z^-4 + 2 z^-2, window up to z^-1
-    h = g.antiderivative()
-    assert h.coefficient(-3) == -1
-    assert h.coefficient(-1) == -2
-    assert h.derivative().coefficient(-4) == 3
 
 
 def test_derivative_windows():

@@ -18,13 +18,13 @@ EAGER_DIR = [
     "SeriesRing", "SpectralCurve", "WaveFunction", "WeightPolyRing",
     "WeightPolynomial", "__all__", "__builtins__", "__cached__", "__doc__",
     "__file__", "__loader__", "__name__", "__package__", "__path__",
-    "__spec__", "__version__", "a_mu_coefficient", "apply_quantum_curve",
+    "__spec__", "__version__", "apply_quantum_curve",
     "curve", "cutjoin", "invert_x_exact", "oracle", "pruning", "quantum",
     "semiclassical_check", "series", "toprec", "weightpoly",
 ]
 ALL = [
     "DHTable", "ResourceLimitError", "CurveSpec", "SpectralCurve",
-    "a_mu_coefficient", "invert_x_exact", "FactorizationOracle",
+    "invert_x_exact", "FactorizationOracle",
     "PruningKernel", "PruningTransform", "WaveFunction",
     "apply_quantum_curve", "semiclassical_check", "ComplexRing", "Poly",
     "RationalRing", "Series", "SeriesRing", "CorrelationForm",
@@ -48,13 +48,15 @@ print("cutjoin", loaded("numpy", "dhtr.curve", "dhtr.toprec", "dhtr.oracle",
 
 from dhtr.cli import main
 for argv in (["dh", "--g", "1", "--mu", "3,2"], ["ph", "--g", "1", "--mu", "2,1"],
-             ["table", "A"], ["oracle", "--g", "0", "--mu", "2,1"],
+             ["table", "A"], ["table", "B"],
              ["qc-verify", "--d", "2", "--K", "4", "--L", "1"],
+             ["oracle", "--g", "0", "--mu", "2,1"],
              ["phi-fit", "--g", "1", "--n", "1"]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    print(argv[0], code, loaded("numpy", "dhtr.toprec", "dhtr.curve"))
+    print(*argv[:1 + (argv[0] == "table")], code,
+          loaded("numpy", "dhtr.toprec", "dhtr.curve", "dhtr.oracle"))
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["tr-verify", "--g", "0", "--n", "3", "--mu-max", "1"])
@@ -72,10 +74,11 @@ def test_commands_import_only_what_they_run():
         "cutjoin []",
         "dh 0 []",
         "ph 0 []",
-        "table 0 []",
-        "oracle 0 []",
+        "table A 0 []",
+        "table B 0 []",
         "qc-verify 0 []",
-        "phi-fit 0 ['dhtr.curve']",
+        "oracle 0 ['dhtr.oracle']",
+        "phi-fit 0 ['dhtr.curve', 'dhtr.oracle']",
         "tr-verify 0 ['dhtr.toprec']",
     ]
 

@@ -387,17 +387,6 @@ def test_default_window_is_tight_and_exact(d, q):
             short.form(g, n)
 
 
-def test_omega01_local_linear_curve():
-    # d=1, q=1, s=1: omega_{0,1} = z (1/z - 1) dz = (1 - z) dz, so at the
-    # branch point a = 1 the local series is (1 - a) - u = -u
-    curve = SpectralCurve(CurveSpec.make(1, [1], 1, precision=128))
-    with mpmath.workprec(128):
-        w1 = curve.frames(8)[0].omega01
-        assert abs(w1.coefficient(0)) < 1e-30
-        assert abs(w1.coefficient(1) + 1) < 1e-30
-        assert abs(w1.coefficient(2)) < 1e-30
-
-
 def test_kernel_denominator_double_zero(engine):
     with mpmath.workprec(engine.prec):
         assert engine.curve.frames(12)[0].kernel.lo == -2

@@ -74,9 +74,11 @@ def test_specialize_exact():
 
 def test_s_grading_helpers():
     p = WeightPolynomial.monomial((1, 0, 0), 2, Fraction(3, 2), D)
-    assert p.s_degree() == 2
     assert p.s_coefficient(2) == WeightPolynomial.monomial((1, 0, 0), 0, Fraction(3, 2), D)
-    assert p.mul_s_power(1).s_degree() == 3
+    assert p.s_coefficient(3).is_zero()
+    shifted = p.mul_s_power(1)
+    assert shifted.s_coefficient(3) == p.s_coefficient(2)
+    assert shifted.s_coefficient(2).is_zero()
 
 
 def test_at_s_one_merges_grades():
