@@ -182,6 +182,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_tr_verify(args) -> int:
+    if args.stability and (args.g, args.n) == (0, 2):
+        raise ValueError("--stability re-runs a stable form, 2g - 2 + n > 0; "
+                         "(g, n) = (0, 2) has none")
     from .toprec import RecursionEngine
 
     curve = _curve_from_args(args)

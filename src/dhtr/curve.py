@@ -4,17 +4,17 @@ Branch points are the zeros of w(z) = 1 - s z P'(z) (`w_poly`); each is
 assumed simple and carries a local frame: the local involution sigma
 exchanging the two sheets of x, its derivative and the recursion kernel
 1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)), where omega_{0,1} is
-P(z) (1/z - s P'(z)) dz at z = a + u.  A curve builds its frames once, at
-the largest order requested so far; smaller orders get truncated views of
-that build, which equal a fresh build bit for bit.  The module also hosts
-the x-inversion at the origin (numeric and exact), the phi basis spanning
-the space of loop-equation solutions, as series at one point
-(`PhiBasis`), and exact series checks of the closed forms for the (0,1)
-and (0,2) generating functions.  The two-point coefficients are read off
-the powers z(x)^k and z(x)^-k of one-variable series
-(`two_point_coefficients`), over any ring.  `phi_fit` checks the
-polynomial structure of the pruned numbers exactly: F_{g,n} in z lies in
-the span of the phi products of bounded degree.
+P(z) (1/z - s P'(z)) dz at z = a + u.  A curve builds its frames, and
+its z(x) at the origin, once at the largest order requested so far;
+smaller orders get truncated views of that build, which equal a fresh
+build bit for bit.  The module also hosts the x-inversion at the origin
+(numeric and exact), the phi basis spanning the space of loop-equation
+solutions, as series at one point (`PhiBasis`), and exact series checks
+of the closed forms for the (0,1) and (0,2) generating functions.  The
+two-point coefficients are read off the powers z(x)^k and z(x)^-k of
+one-variable series (`two_point_coefficients`), over any ring.  `phi_fit`
+checks the polynomial structure of the pruned numbers exactly: F_{g,n} in
+z lies in the span of the phi products of bounded degree.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class SpectralCurve:
         self._roots = None
         self._frames: list[BranchPointData] = []
         self._frames_order = 0
-        self._zx_cache: dict[int, Series] = {}
+        self._zx: Series | None = None
 
     # ------------------------------------------------------------------
     # branch points
@@ -288,14 +288,16 @@ class SpectralCurve:
     # x-inversion at the origin
 
     def invert_x_numeric(self, order: int) -> Series:
-        """z(x) with x(z(x)) = x, trusted through exponent `order`."""
+        """z(x) with x(z(x)) = x, trusted through exponent `order`.  Built
+        only for an order above all earlier ones, which replaces the stored
+        build; else a truncated view, as for the frames."""
         if order < 1:
             raise ValueError("order must be at least 1")
-        if order not in self._zx_cache:
+        if self._zx is None or order >= self._zx.order:
             with mpmath.workprec(self.prec):
                 xz = x_of_z(self.P.to_series("x", order + 1), self.s)
-                self._zx_cache[order] = xz.reversion()  # already in the x variable
-        return self._zx_cache[order]
+                self._zx = xz.reversion()  # already in the x variable
+        return self._zx.truncate(order + 1)
 
 
 def invert_x_exact(d_max: int, order: int) -> Series:

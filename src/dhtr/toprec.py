@@ -6,7 +6,10 @@ prod_j dz_j / (z_j - a_{i_j})^(k_j + 1).  A rational differential with poles
 only at the branch points and vanishing at infinity is the sum of its
 principal parts, so this basis is complete for every produced form, and the
 residue extraction emits exactly these coefficients through the geometric
-expansion 1/(z_1 - z) = sum_k (z - a_i)^k / (z_1 - a_i)^(k+1).
+expansion 1/(z_1 - z) = sum_k (z - a_i)^k / (z_1 - a_i)^(k+1).  One chart
+(`_Chart`) expands the basis along a local coordinate: at each branch point
+in u = z - a_i and in sigma(u) for the recursion, and in z(x) at the origin
+for the double Hurwitz predictions; it is ring-generic.
 
 Beyond the recursion itself the engine hosts the closed-form cross-checks
 (the triple-point form and the genus-one one-point form), the expansion of
@@ -128,71 +131,59 @@ def _label(index: tuple[int, int]) -> tuple[int, int]:
     return j, k + 1
 
 
-class _Basis:
-    """Basis elements at one branch point a_i over one window, memoized.
+class _Chart:
+    """The pole basis along z = a + local(t), memoized: the label (j, e) is
+    dz/(z - a_j)^e, the series (local + a - a_j)^-e times dz, the
+    derivative of local (`None` for dt).  The z side at a branch point a_i
+    is local = u with dt, the sigma side local = sigma(u) with sigma'(u),
+    and the origin local = z(x) with z'(x) and a = 0.
 
-    The label (j, e) stands for p_j(u)^e, where p_j(u) = 1/(a_i - a_j + u)
-    is 1/(z - a_j) at z = a_i + u, and p_i(u) = 1/u; on the sigma side it
-    stands for p_j(sigma(u))^e sigma'(u).  The pole index (j, k) is the
-    element (j, k+1) (see `_label`), and the omega_{0,2} factor paired with
-    the spectator index (i, k+1) is (k+1) times the element (i, -k), the
-    monomial u^k.
+    Each element is its neighbour one step nearer e = 0 times one factor,
+    (local + a - a_j)^-1, or local + a - a_j for e < 0: one product per
+    element and one inverse per a_j.  e = 0 is dz, and with dt (j, +-1) is
+    the factor itself.  The index `monomial` (a_j = a, local = u) keeps the
+    monomial u^-e, as a chain of u^-1 products loses two orders per power;
+    the omega_{0,2} factor paired with the spectator index (i, k+1) is
+    (k+1) times the z-side element (i, -k), that is (k+1) u^k."""
 
-    An element is its memoized neighbour one step nearer e = 0 times one
-    factor, p_j or (for e < 0) 1/p_j = a_i - a_j + u, taken at u or at
-    sigma(u): one product per element.  e = 0 is 1 on the z side and
-    sigma' on the sigma side; the z-side (j, 1) is p_j itself, and the
-    z-side (i, e) is the monomial u^-e."""
+    def __init__(self, local: Series, dz: Series | None, a, roots, monomial=None):
+        self.local, self.dz, self.a, self.roots = local, dz, a, roots
+        self.monomial = monomial
+        self._memo: dict[tuple[int, int], Series] = {}
+        self._factors: dict[tuple[int, int], Series] = {}
 
-    def __init__(self, frame: BranchPointData, roots, window: int):
-        self.frame = frame
-        self.roots = roots
-        self.window = window
-        self._memo: dict[tuple, Series] = {}
-        self._factors: dict[tuple, Series] = {}
+    def element(self, label: tuple[int, int]) -> Series:
+        if label not in self._memo:
+            self._memo[label] = self._build(*label)
+        return self._memo[label]
 
-    def element(self, label: tuple[int, int], at_sigma: bool = False) -> Series:
-        key = (label, at_sigma)
-        if key not in self._memo:
-            self._memo[key] = self._build(*label, at_sigma)
-        return self._memo[key]
-
-    def _build(self, j: int, e: int, at_sigma: bool) -> Series:
-        frame = self.frame
-        ring = frame.sigma.ring
-        if not at_sigma and j == frame.index:
-            coeffs = [ring.one] + [ring.zero] * (self.window + e - 1)
-            return Series(ring, "u", -e, coeffs, self.window)
+    def _build(self, j: int, e: int) -> Series:
+        local, ring = self.local, self.local.ring
+        if j == self.monomial:
+            coeffs = [ring.one] + [ring.zero] * (local.order + e - 1)
+            return Series(ring, local.var, -e, coeffs, local.order)
         if e == 0:
-            return frame.sigma_prime if at_sigma else Series.constant(
-                ring, "u", ring.one, self.window)
-        if e == 1 and not at_sigma:
-            return self._factor(j, 1, False)
+            one = Series.constant(ring, local.var, ring.one, local.order)
+            return one if self.dz is None else self.dz
         step = 1 if e > 0 else -1
-        return self.element((j, e - step), at_sigma) * self._factor(j, step, at_sigma)
+        if e == step and self.dz is None:
+            return self._factor(j, step)
+        return self.element((j, e - step)) * self._factor(j, step)
 
-    def _factor(self, j: int, step: int, at_sigma: bool) -> Series:
-        """p_j (step 1) or 1/p_j (step -1), at u or at sigma(u)."""
-        key = (j, step, at_sigma)
-        if key not in self._factors:
-            frame, ring = self.frame, self.frame.sigma.ring
-            if at_sigma and j == frame.index:
-                value = frame.sigma.inverse() if step > 0 else frame.sigma
-            elif at_sigma:
-                value = self._factor(j, step, False).compose(frame.sigma)
-            else:
-                gap = frame.a - self.roots[j]
-                value = Series.from_coeffs(ring, "u", [gap, ring.one], self.window)
-                if step > 0:
-                    value = value.inverse()
-            self._factors[key] = value
-        return self._factors[key]
+    def _factor(self, j: int, step: int) -> Series:
+        if (j, step) not in self._factors:
+            local, gap = self.local, self.a - self.roots[j]
+            if not local.ring.is_zero(gap):
+                local = local + Series.constant(local.ring, local.var, gap, local.order)
+            self._factors[j, step] = local.inverse() if step > 0 else local
+        return self._factors[j, step]
 
-    def omega02_cut(self) -> Series:
-        """omega_{0,2}(z, sigma(z)) at z = a_i + u, du stripped:
-        (u - sigma(u))^-2 sigma'(u)."""
-        u = Series.identity(self.frame.sigma.ring, "u", self.window)
-        return (u - self.frame.sigma).inverse().pow_int(2) * self.frame.sigma_prime
+
+def _omega02_cut(frame: BranchPointData, window: int) -> Series:
+    """omega_{0,2}(z, sigma(z)) at z = a_i + u, du stripped:
+    (u - sigma(u))^-2 sigma'(u)."""
+    u = Series.identity(frame.sigma.ring, "u", window)
+    return (u - frame.sigma).inverse().pow_int(2) * frame.sigma_prime
 
 
 class RecursionEngine:
@@ -255,10 +246,12 @@ class RecursionEngine:
         # before recursing: a top-level form builds the frames once
         frames = self.curve.frames(window)
         roots = self.curve.branch_points()
-        k02_max = max(6 * g + 2 * n - 4, 2)
+        u = Series.identity(self.ring, "u", window)
         out: dict[tuple, mpmath.mpc] = {}
         for frame in frames:
-            blocks = self._bracket_blocks(g, n, _Basis(frame, roots, window), k02_max)
+            z_side = _Chart(u, None, frame.a, roots, frame.index)
+            s_side = _Chart(frame.sigma, frame.sigma_prime, frame.a, roots)
+            blocks = self._bracket_blocks(g, n, frame, window, z_side, s_side)
             for spect, series in blocks.items():
                 e = frame.kernel * series
                 if e.order < 1:
@@ -283,9 +276,11 @@ class RecursionEngine:
         cutoff = scale * mpmath.mpf(2) ** (-(3 * self.prec) // 4)
         form.coeffs = {idx: c for idx, c in form.coeffs.items() if abs(c) > cutoff}
 
-    def _bracket_blocks(self, g: int, n: int, basis: _Basis, k02_max: int):
+    def _bracket_blocks(self, g: int, n: int, frame: BranchPointData, window: int,
+                        z_side: _Chart, s_side: _Chart):
         """The bracketed quadratic expression as u-series grouped by the
-        spectator-slot basis assignment."""
+        spectator-slot basis assignment; the first argument of each factor
+        is read on the z-side chart, the second on the sigma-side chart."""
         blocks: dict[tuple, Series] = {}
 
         def add(key: tuple, series: Series):
@@ -294,12 +289,11 @@ class RecursionEngine:
         # cut term: omega_{g-1, n+1}(z, sigma(z), spectators)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                add((), basis.omega02_cut())
+                add((), _omega02_cut(frame, window))
             else:
                 inner = self.form(g - 1, n + 1)
                 for idx, c in inner.coeffs.items():
-                    series = (basis.element(_label(idx[0]))
-                              * basis.element(_label(idx[1]), at_sigma=True))
+                    series = z_side.element(_label(idx[0])) * s_side.element(_label(idx[1]))
                     add(idx[2:], series.scale(c))
 
         # product terms over ordered stable splits.  A factor depends on its
@@ -308,21 +302,21 @@ class RecursionEngine:
         # sp2 fixes the order in which every block adds its terms.
         groups: dict[tuple, dict[tuple, Series]] = {}
 
-        def group(genus: int, arity: int, at_sigma: bool) -> dict[tuple, Series]:
-            """omega_{genus, arity} with its first argument at z (or
-            sigma(z)), as {spectator pole indices: u-series}."""
-            shape = (genus, arity, at_sigma)
+        def group(genus: int, arity: int, chart: _Chart) -> dict[tuple, Series]:
+            """omega_{genus, arity} with its first argument read on `chart`,
+            as {spectator pole indices: u-series}."""
+            shape = (genus, arity, chart)
             if shape not in groups:
                 if (genus, arity) == (0, 2):
-                    i = basis.frame.index
+                    i = frame.index
                     terms = [((i, -k), ((i, k + 1),), self.ring.from_rational(k + 1))
-                             for k in range(k02_max + 1)]
+                             for k in range(max(6 * g + 2 * n - 4, 2) + 1)]
                 else:
                     terms = [(_label(idx[0]), idx[1:], c)
                              for idx, c in self.form(genus, arity).coeffs.items()]
                 out = groups[shape] = {}
                 for label, spect, c in terms:
-                    series = basis.element(label, at_sigma).scale(c)
+                    series = chart.element(label).scale(c)
                     out[spect] = out[spect] + series if spect in out else series
             return groups[shape]
 
@@ -335,8 +329,8 @@ class RecursionEngine:
                     g2 = g - g1
                     if (g1 == 0 and r == 0) or (g2 == 0 and r == n - 1):
                         continue  # omega_{0,1} factors are excluded
-                    f1 = group(g1, r + 1, False)
-                    f2 = group(g2, n - r, True)
+                    f1 = group(g1, r + 1, z_side)
+                    f2 = group(g2, n - r, s_side)
                     for sp1, s1 in f1.items():
                         for sp2, s2 in f2.items():
                             shape = (g1, sp1, sp2)
@@ -380,9 +374,8 @@ class RecursionEngine:
         with mpmath.workprec(self.prec):
             window = self.window_for(1, 1)
             total = mpmath.mpc(0)
-            roots = self.curve.branch_points()
             for frame in self.curve.frames(window):
-                bracket = _Basis(frame, roots, window).omega02_cut()
+                bracket = _omega02_cut(frame, window)
                 gap = z1 - frame.a
                 geo = Series.from_coeffs(
                     self.ring, "u", [gap, -self.ring.one], window
@@ -398,14 +391,11 @@ class RecursionEngine:
         coefficient of prod mu_i x_i^(mu_i - 1) dx_i of the form."""
         with mpmath.workprec(self.prec):
             zx = self.curve.invert_x_numeric(mu_max + 1)
-            zprime = zx.derivative().strip_leading(self.ring.is_zero)
-            vectors: dict[tuple[int, int], list] = {}
-            roots = self.curve.branch_points()
-            needed = sorted({idx_j for idx in form.coeffs for idx_j in idx})
-            for (i, k) in needed:
-                shifted = zx - Series.constant(self.ring, "x", roots[i], zx.order)
-                b = zprime * shifted.inverse().pow_int(k + 1)
-                vectors[(i, k)] = [b.coefficient(mu - 1) for mu in range(1, mu_max + 1)]
+            chart = _Chart(zx, zx.derivative(), self.ring.zero, self.curve.branch_points())
+            vectors = {}
+            for idx in {idx_j for idx in form.coeffs for idx_j in idx}:
+                b = chart.element(_label(idx))
+                vectors[idx] = [b.coefficient(mu - 1) for mu in range(1, mu_max + 1)]
             # columns[j]: slot j's vector for every coefficient, in order;
             # partial[j]: every c times its first j slot factors, for the
             # current mu[:j], so a prefix product is formed once and each

@@ -203,6 +203,21 @@ def test_tr_verify_tolerance_outside_unit_interval_rejected(capsys):
     assert code == 2 and not out and err.startswith("error:")
 
 
+def test_tr_verify_stability_on_two_point_rejected(capsys, monkeypatch):
+    # (0, 2) has no stable form to re-run: the flag is a usage error,
+    # raised before a curve is built
+    from dhtr import curve
+
+    def no_curve(*args):
+        raise AssertionError("a curve was built")
+
+    monkeypatch.setattr(curve.SpectralCurve, "__init__", no_curve)
+    code, out, err = run(capsys, "tr-verify", "--g", "0", "--n", "2", "--stability")
+    assert code == 2 and not out
+    assert err == ("error: --stability re-runs a stable form, 2g - 2 + n > 0; "
+                   "(g, n) = (0, 2) has none\n")
+
+
 def test_tr_verify_two_point_path(capsys):
     # (g, n) = (0, 2) dispatches to the two-point origin check
     code, out, _ = run(capsys, "tr-verify", "--g", "0", "--n", "2",

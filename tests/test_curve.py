@@ -152,6 +152,26 @@ def test_frames_views_match_fresh_build():
             assert _bits(getattr(view, name)) == _bits(getattr(ref, name)), name
 
 
+def test_invert_x_views_match_fresh_build(monkeypatch):
+    # z(x) is built once per order above all earlier ones; smaller orders
+    # are truncated views with the bits of a fresh build
+    for d, q in [(2, [1, 1]), (2, [2, Fraction(1, 2)]),
+                 (3, [Fraction(11, 3), Fraction(2, 3), Fraction(-1, 9)])]:
+        for prec in (256, 512):
+            wide = curve(d, q, Fraction(1, 10), prec=prec)
+            wide.invert_x_numeric(17)
+            for order in (4, 5, 6, 9):
+                fresh = curve(d, q, Fraction(1, 10), prec=prec).invert_x_numeric(order)
+                assert _bits(wide.invert_x_numeric(order)) == _bits(fresh), (d, prec, order)
+    built = []
+    x_of_z = curve_module.x_of_z
+    monkeypatch.setattr(curve_module, "x_of_z", lambda p, s: built.append(p.order) or x_of_z(p, s))
+    c = curve(2, [1, 1], Fraction(1, 10))
+    for order in (4, 6, 5, 5, 5, 9):
+        assert c.invert_x_numeric(order).order == order + 1
+    assert built == [5, 7, 10]  # builds at orders 4, 6 and 9
+
+
 def test_sigma_prime_starts_at_exponent_zero():
     # sigma is a power series, so its derivative carries no zero head
     for d, q in [(1, [1]), (2, [1, 1]), (3, [1, 1, 1])]:

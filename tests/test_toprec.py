@@ -8,8 +8,8 @@ import pytest
 from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit, w_poly
 from dhtr.cutjoin import DHTable, canonical_mu
 from dhtr.pruning import PruningTransform
-from dhtr.series import Series, SeriesRing, TruncationError
-from dhtr.toprec import CorrelationForm, RecursionEngine, _Basis
+from dhtr.series import RationalRing, Series, SeriesRing, TruncationError
+from dhtr.toprec import CorrelationForm, RecursionEngine, _Chart
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 
 
@@ -289,13 +289,10 @@ def test_origin_expansion_matches_direct_loop(engine):
         form = engine.form(g, n)
         predicted = engine.expand_at_origin(form, 4)
         with mpmath.workprec(engine.prec):
-            zx = curve.invert_x_numeric(5)
-            zprime = zx.derivative().strip_leading(engine.ring.is_zero)
-            roots = curve.branch_points()
+            chart = _origin_chart(curve.invert_x_numeric(5), curve.branch_points())
             vectors = {}
             for i, k in {idx_j for idx in form.coeffs for idx_j in idx}:
-                shifted = zx - Series.constant(engine.ring, "x", roots[i], zx.order)
-                b = zprime * shifted.inverse().pow_int(k + 1)
+                b = chart.element((i, k + 1))
                 vectors[(i, k)] = [b.coefficient(mu - 1) for mu in range(1, 5)]
             assert len(predicted) == 4 ** n
             for mu in product(range(1, 5), repeat=n):
@@ -392,19 +389,17 @@ def test_kernel_denominator_double_zero(engine):
         assert engine.curve.frames(12)[0].kernel.lo == -2
 
 
-def test_kernel_view_matches_fresh_build():
-    # a kernel cut from a frame build at order 28 keeps every bit of a
-    # fresh build at 12
-    spec = CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256)
-    wide = SpectralCurve(spec)
-    fresh = SpectralCurve(spec)
-    with mpmath.workprec(256):
-        wide.frames(28)
-        views, refs = wide.frames(12), fresh.frames(12)
-    for view, ref in zip(views, refs, strict=True):
-        view, ref = view.kernel, ref.kernel
-        assert (view.lo, view.order) == (ref.lo, ref.order)
-        assert [c._mpc_ for c in view.coeffs] == [c._mpc_ for c in ref.coeffs]
+def _z_side(frame, roots, window):
+    u = Series.identity(frame.sigma.ring, "u", window)
+    return _Chart(u, None, frame.a, roots, frame.index)
+
+
+def _sigma_side(frame, roots):
+    return _Chart(frame.sigma, frame.sigma_prime, frame.a, roots)
+
+
+def _origin_chart(zx, roots):
+    return _Chart(zx, zx.derivative(), zx.ring.zero, roots)
 
 
 def test_omega02_local_expansion(engine):
@@ -413,21 +408,22 @@ def test_omega02_local_expansion(engine):
     # double pole carries no residue
     with mpmath.workprec(engine.prec):
         curve = engine.curve
-        basis = _Basis(curve.frames(8)[0], curve.branch_points(), 8)
-        series = basis.element((0, -3)).scale(4)
+        chart = _z_side(curve.frames(8)[0], curve.branch_points(), 8)
+        series = chart.element((0, -3)).scale(4)
         assert abs(series.coefficient(3) - 4) < 1e-60
         assert series.lo >= 0
         assert series.residue() == 0
 
 
-def _pow_int_element(frame, roots, window, j, e, at_sigma):
-    """A basis element from scratch by Series.pow_int, as a reference."""
+def _pow_int_element(frame, roots, window, j, e, on_sigma):
+    """A basis element built directly by Series.pow_int, as a reference; on
+    the sigma side p_j(u) is composed with sigma."""
     ring = frame.sigma.ring
     if j == frame.index:
         base = Series(ring, "u", -1, [ring.one] + [ring.zero] * window, window)
     else:
         base = Series.from_coeffs(ring, "u", [frame.a - roots[j], ring.one], window).inverse()
-    if not at_sigma:
+    if not on_sigma:
         return base.pow_int(e)
     if j == frame.index:
         power = frame.sigma.pow_int(-e) if e < 0 else frame.sigma.inverse().pow_int(e)
@@ -436,50 +432,88 @@ def _pow_int_element(frame, roots, window, j, e, at_sigma):
     return power * frame.sigma_prime
 
 
+def _assert_close(got, want, bound, where):
+    scale = max(abs(c) for c in want.coeffs)
+    for k in range(got.lo, min(got.order, want.order)):
+        assert abs(got.coefficient(k) - want.coefficient(k)) <= bound * scale, (where, k)
+
+
 @pytest.mark.parametrize("window", [14, 18])
 def test_basis_elements_match_pow_int(engine, window):
     # each element is built from its neighbour one power nearer e = 0; it
-    # must stay within 2**-(prec-8) of its scale of a pow_int build
+    # must stay within 2**-(prec-8) of its scale of a pow_int build, on
+    # both sides of every branch point and at the origin
     curve = engine.curve
     with mpmath.workprec(engine.prec):
         roots = curve.branch_points()
         bound = mpmath.mpf(2) ** -(engine.prec - 8)
         for frame in curve.frames(window):
-            basis = _Basis(frame, roots, window)
+            charts = {False: _z_side(frame, roots, window), True: _sigma_side(frame, roots)}
             for j in range(len(roots)):
-                for at_sigma in (False, True):
+                for on_sigma, chart in charts.items():
                     for e in range(-6, 13):
-                        got = basis.element((j, e), at_sigma)
-                        want = _pow_int_element(frame, roots, window, j, e, at_sigma)
-                        assert got.lo == want.lo, (j, e, at_sigma)
-                        if j != frame.index or at_sigma:
-                            assert got.order == want.order, (j, e, at_sigma)
-                        scale = max(abs(c) for c in want.coeffs)
-                        for k in range(got.lo, min(got.order, want.order)):
-                            diff = abs(got.coefficient(k) - want.coefficient(k))
-                            assert diff <= bound * scale, (j, e, at_sigma, k)
+                        got = chart.element((j, e))
+                        want = _pow_int_element(frame, roots, window, j, e, on_sigma)
+                        assert got.lo == want.lo, (j, e, on_sigma)
+                        if j != frame.index or on_sigma:
+                            assert got.order == want.order, (j, e, on_sigma)
+                        _assert_close(got, want, bound, (j, e, on_sigma))
+        zx = curve.invert_x_numeric(window)
+        origin = _origin_chart(zx, roots)
+        for i, a_i in enumerate(roots):
+            shifted = zx - Series.constant(engine.ring, "x", a_i, zx.order)
+            for e in range(1, 13):
+                got, want = origin.element((i, e)), zx.derivative() * shifted.inverse().pow_int(e)
+                assert (got.lo, got.order) == (want.lo, want.order), (i, e)
+                _assert_close(got, want, bound, (i, e))
+
+
+def test_origin_chart_over_rationals_matches_numeric():
+    # the chart is ring-generic: along the exact z(x) at q = (1, 1),
+    # s = 1/10, whose branch points are -5/2 and 2, every element matches
+    # the numeric chart's to 2**-(prec-8) of its scale
+    q, s = [Fraction(1), Fraction(1)], Fraction(1, 10)
+    exact = invert_x_exact(2, 5)
+    zx = Series(RationalRing(), "x", exact.lo, [c.specialize(q, s) for c in exact.coeffs],
+                exact.order)
+    exact_chart = _origin_chart(zx, [Fraction(-5, 2), Fraction(2)])
+    curve = SpectralCurve(CurveSpec.make(2, q, s, precision=256))
+    with mpmath.workprec(256):
+        assert [complex(a) for a in curve.branch_points()] == [-2.5, 2]
+        numeric = _origin_chart(curve.invert_x_numeric(5), curve.branch_points())
+        bound = mpmath.mpf(2) ** -(256 - 8)
+        for i in range(2):
+            for e in range(1, 12):
+                got, want = exact_chart.element((i, e)), numeric.element((i, e))
+                assert (got.lo, got.order) == (want.lo, want.order), (i, e)
+                got = Series(numeric.local.ring, "x", got.lo,
+                             [mpmath.mpc(mpmath.mpf(c.numerator) / c.denominator)
+                              for c in got.coeffs], got.order)
+                _assert_close(got, want, bound, (i, e))
 
 
 def test_basis_forms_one_product_per_power(engine, monkeypatch):
-    # elements (j, 1..E) at j != i: E - 1 products on the z side; on the
-    # sigma side E, once p_j(sigma) is built
+    # elements (j, 1..E) with a_j off the chart's own point: E - 1 products
+    # on the z side; E on the sigma side and at the origin, where dz is not
+    # dt, once the factor (local + a - a_j)^-1 is built
     products = []
     mul = Series.__mul__
     monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     top = 7
     with mpmath.workprec(engine.prec):
+        roots = engine.curve.branch_points()
+        zx = engine.curve.invert_x_numeric(14)
+        charts = [(_origin_chart(zx, roots), j, top) for j in range(len(roots))]
         for frame in engine.curve.frames(14):
-            basis = _Basis(frame, engine.curve.branch_points(), 14)
             j = 1 - frame.index
+            charts += [(_z_side(frame, roots, 14), j, top - 1),
+                       (_sigma_side(frame, roots), j, top)]
+        for chart, j, count in charts:
+            chart._factor(j, 1)
             products.clear()
             for e in range(1, top + 1):
-                basis.element((j, e))
-            assert len(products) == top - 1
-            basis._factor(j, 1, True)
-            products.clear()
-            for e in range(1, top + 1):
-                basis.element((j, e), at_sigma=True)
-            assert len(products) == top
+                chart.element((j, e))
+            assert len(products) == count
 
 
 def test_recursion_on_complex_branch_points():
