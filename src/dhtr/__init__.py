@@ -13,7 +13,7 @@ _HOMES = {
     "oracle": ("FactorizationOracle",),
     "pruning": ("PruningKernel", "PruningTransform"),
     "quantum": ("WaveFunction", "apply_quantum_curve", "semiclassical_check"),
-    "series": ("ComplexRing", "Poly", "RationalRing", "Series", "SeriesRing"),
+    "series": ("ComplexRing", "Poly", "RationalRing", "Series"),
     "toprec": ("CorrelationForm", "RecursionEngine"),
     "weightpoly": ("WeightPolynomial", "WeightPolyRing"),
 }

@@ -162,11 +162,7 @@ class DHTable:
         mu = canonical_mu(mu)
         if g < 0:
             raise ValueError(f"genus must be >= 0, got {g}")
-        if g > MAX_GENUS or sum(mu) > MAX_TOTAL:
-            raise ResourceLimitError(
-                f"DH_{{{g},{len(mu)}}}{mu} exceeds configured caps "
-                f"(|mu| <= {MAX_TOTAL}, g <= {MAX_GENUS})"
-            )
+        self.check_caps(g, mu)
         key = (g, mu)
         hit = self._memo.get(key)
         if hit is not None:
@@ -183,6 +179,15 @@ class DHTable:
         with self._lock:
             self._memo.setdefault(key, value)
         return self._memo[key]
+
+    def check_caps(self, g: int, mu: tuple[int, ...]) -> None:
+        """Raise ResourceLimitError if the key (g, mu) is past the table's
+        caps, g <= MAX_GENUS and |mu| <= MAX_TOTAL."""
+        if g > MAX_GENUS or sum(mu) > MAX_TOTAL:
+            raise ResourceLimitError(
+                f"DH_{{{g},{len(mu)}}}{mu} exceeds configured caps "
+                f"(|mu| <= {MAX_TOTAL}, g <= {MAX_GENUS})"
+            )
 
     def _tuple_counts(self, g: int, mu: tuple[int, ...]) -> dict[int, int]:
         """lambda (packed) -> N for weakly decreasing mu; the key caps are

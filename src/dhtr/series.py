@@ -4,23 +4,28 @@ One engine serves three coefficient rings: exact rationals, weight
 polynomials, and high-precision complex numbers.  The same reversion, exp,
 and residue code therefore runs both for exact identity checks and for the
 numeric recursion on the spectral curve.  A ring element times a rational
-is `ring.mul_rational`: weight polynomials and nested series scale their
-coefficients rather than multiply by a constant.
+is `ring.mul_rational`: weight polynomials scale their coefficients rather
+than multiply by a constant.
 
 A series carries an explicit window [lo, order): coefficients for exponents
 below lo are exactly zero, coefficients at or above `order` are unknown.
 Truncation order is explicit state and every operation propagates it with
 the min rule; nothing silently extends precision.
 
-Products over the exact rings are the schoolbook sum.  Over ComplexRing a
-Series product is one exact convolution (ComplexRing.convolve_fixed): the
-real and imaginary part of each coefficient is the exact sum of the exact
-products, rounded once to nearest at mpmath.mp.prec.  A Series converts its
-coefficients to that exact fixed-point form once, on its first use as a
-factor, so a series that enters many products (a Horner step, a kernel, a
-basis element) is converted once.  A non-finite (inf or nan) coefficient in
-either factor raises ArithmeticError; for a Series the message names the
-variable.
+Over the exact rings products, recurrences and sums are the schoolbook
+loops.  Over ComplexRing every numeric sum of products is exact and
+rounded once: the real and imaginary part of each output coefficient is
+the exact sum of the exact products, rounded once to nearest at
+mpmath.mp.prec.  A Series product is one exact convolution
+(ComplexRing.convolve_fixed).  Each coefficient of `inverse`, `exp` and
+`sqrt_unit` is one exact sum over earlier outputs, divided exactly by the
+recurrence's integer where it has one (ComplexRing.dot_fixed), and each
+coefficient of a `linear_combination` is one exact sum over its terms.
+A Series converts its coefficients to that exact fixed-point form once, on
+its first use as a factor, so a series that enters many products (a Horner
+step, a kernel, a basis element) is converted once; a recurrence converts
+each output once.  A non-finite (inf or nan) coefficient in an input
+raises ArithmeticError; for a Series the message names the variable.
 
 Reversion is Lagrange inversion: N - 2 products and one inverse at order N.
 The unit square root is the coefficient recurrence of h * h = r.
@@ -28,7 +33,9 @@ The unit square root is the coefficient recurrence of h * h = r.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 from mpmath.libmp import fzero
@@ -39,9 +46,9 @@ __all__ = [
     "TruncationError",
     "RationalRing",
     "ComplexRing",
-    "SeriesRing",
     "Series",
     "Poly",
+    "linear_combination",
 ]
 
 
@@ -100,14 +107,22 @@ def _fixed_point(coeffs):
     return ints[0::2], ints[1::2], emin, bits
 
 
-def _rounded(v, e, prec):
-    """The mpf tuple of the int v times 2**e, rounded to nearest (ties to
-    even) at prec bits: from_man_exp(v, e, prec, round_nearest) inline."""
+def _rounded(v, e, prec, divisor=1):
+    """The mpf tuple of the int v times 2**e, divided by the positive int
+    divisor, rounded to nearest (ties to even) at prec bits: for divisor 1,
+    from_man_exp(v, e, prec, round_nearest) inline."""
     if not v:
         return fzero
     sign = 0
     if v < 0:
         sign, v = 1, -v
+    if divisor != 1:
+        # at least prec + 2 quotient bits, then one sticky bit that is set
+        # when the division leaves a remainder
+        shift = max(prec + 2 + divisor.bit_length() - v.bit_length(), 0)
+        v, rest = divmod(v << shift, divisor)
+        v = v << 1 | (rest != 0)
+        e -= shift + 1
     n = v.bit_length() - prec
     if n > 0:
         t = v >> (n - 1)  # the kept bits and the first dropped bit
@@ -119,6 +134,28 @@ def _rounded(v, e, prec):
     zeros = (v & -v).bit_length() - 1  # trailing zero bits
     v >>= zeros
     return (sign, v, e + zeros, v.bit_length())
+
+
+def _solve(first, n, step):
+    """The coefficients first, c_1, .., c_(n-1) of a recurrence over
+    ComplexRing: c_m = step(m, fixed), where fixed is the fixed list
+    (re ints, im ints, exp) of the coefficients before c_m.  Each new
+    coefficient is converted once, and the list moves to a smaller exponent
+    only when a coefficient needs it."""
+    (r,), (i,), e, _ = _fixed_point([first])
+    re, im, out = [r], [i], [first]
+    for m in range(1, n):
+        c = step(m, (re, im, e))
+        out.append(c)
+        f = _fixed_point([c])
+        (r,), (i,), ec, _ = f or ((0,), (0,), e, 0)
+        if ec < e:
+            re[:] = [v << (e - ec) for v in re]
+            im[:] = [v << (e - ec) for v in im]
+            e = ec
+        re.append(r << (ec - e))
+        im.append(i << (ec - e))
+    return out
 
 
 def _pack(values, width):
@@ -149,10 +186,11 @@ class ComplexRing:
     """mpmath complex numbers; callers set the working precision via
     mpmath.workprec around whole computations.
 
-    Series products go through `convolve_fixed`: every output coefficient
-    is the exact convolution sum, rounded once per real and imaginary part,
-    to nearest at mpmath.mp.prec.  A non-finite input coefficient raises
-    ArithmeticError."""
+    Every numeric sum of products is exact and rounded once per real and
+    imaginary part, to nearest at mpmath.mp.prec: Series products go
+    through `convolve_fixed`, the coefficient recurrences, sums of scaled
+    series and the origin expansion through `dot_fixed`.  A non-finite
+    input coefficient raises ArithmeticError."""
 
     def __init__(self, precision: int):
         if precision < 64:
@@ -211,6 +249,31 @@ class ComplexRing:
                     for x, y in zip(re, im)]
         return [make((_rounded(x, e, prec), fzero)) for x in re]
 
+    def dot_fixed(self, pairs, divisor=1):
+        """The sum of x[k] * y[k] over k and over the pairs (x, y) of fixed
+        lists, divided by the positive int divisor: exact, then rounded
+        once per real and imaginary part, to nearest at mpmath.mp.prec.  A
+        fixed list is (re ints, im ints, exp, ...), the values
+        (re[k] + i im[k]) * 2**exp, as `_fixed_point` makes it; each sum
+        stops at the shorter list."""
+        re = im = 0
+        e = None
+        for x, y in pairs:
+            xr, xi, ex = x[0], x[1], x[2]
+            yr, yi, ey = y[0], y[1], y[2]
+            r = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+            i = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
+            f = ex + ey
+            if e is None:
+                e = f
+            elif f < e:  # the sum so far moves to the smaller exponent
+                re, im, e = re << (e - f), im << (e - f), f
+            re += r << (f - e)
+            im += i << (f - e)
+        prec = mpmath.mp.prec
+        return mpmath.mp.make_mpc((_rounded(re, e, prec, divisor),
+                                   _rounded(im, e, prec, divisor)))
+
     def __eq__(self, other):
         return isinstance(other, ComplexRing) and other.precision == self.precision
 
@@ -230,41 +293,6 @@ def _product(ring, a, b, n):
             if not zero(y):
                 out[i + j] = out[i + j] + x * y
     return out
-
-
-class SeriesRing:
-    """Use power series in one variable as the coefficients of another,
-    giving the nested-univariate representation of multivariate series."""
-
-    def __init__(self, inner, var: str, order: int):
-        self.inner = inner
-        self.var = var
-        self.order = order
-        self.zero = Series.zero(inner, var, order)
-        self.one = Series.constant(inner, var, inner.one, order)
-
-    def from_rational(self, value):
-        return Series.constant(self.inner, self.var, self.inner.from_rational(value), self.order)
-
-    def mul_rational(self, x, value):
-        return x.scale(value)
-
-    def is_zero(self, x) -> bool:
-        return all(self.inner.is_zero(c) for c in x.coeffs)
-
-    def invert(self, x):
-        return x.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesRing)
-            and other.inner == self.inner
-            and other.var == self.var
-            and other.order == self.order
-        )
-
-    def __repr__(self):
-        return f"SeriesRing({self.inner!r}, {self.var!r}, {self.order})"
 
 
 class Series:
@@ -414,14 +442,21 @@ class Series:
         lo = self.lo + other.lo
         order = min(self.lo + other.order, other.lo + self.order)
         n = max(order - lo, 0)
-        try:
+        with self._naming_errors():
             if isinstance(self.ring, ComplexRing):
                 coeffs = self.ring.convolve_fixed(self._fixed_form(), other._fixed_form(), n)
             else:
                 coeffs = _product(self.ring, self.coeffs, other.coeffs, n)
+        return Series(self.ring, self.var, min(lo, order), coeffs, order)
+
+    @contextmanager
+    def _naming_errors(self):
+        """An ArithmeticError raised inside (a non-finite coefficient) is
+        raised again with this series' variable named."""
+        try:
+            yield
         except ArithmeticError as exc:
             raise ArithmeticError(f"{exc} in a series in {self.var}") from None
-        return Series(self.ring, self.var, min(lo, order), coeffs, order)
 
     def _fixed_form(self):
         """_fixed_point of the whole coefficient list, made on first use."""
@@ -442,22 +477,35 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse; the lowest not-exactly-zero coefficient
         must be invertible (numeric series with below-noise heads must
-        strip_leading with a tolerance first)."""
+        strip_leading with a tolerance first).  Over ComplexRing each
+        coefficient is one exact sum, -(1/c_0) sum_k c_k out[m-k] with
+        1/c_0 rounded first, rounded once."""
         self = self.strip_leading(self.ring.is_zero)
         if not self.coeffs:
             raise AlgebraError("division by series with zero leading coefficient")
-        c0_inv = self.ring.invert(self.coeffs[0])
-        n = len(self.coeffs)
-        out = [self.ring.zero] * n
+        ring, coeffs = self.ring, self.coeffs
+        c0_inv = ring.invert(coeffs[0])
+        n = len(coeffs)
+        if isinstance(ring, ComplexRing):
+            with self._naming_errors():
+                (ar,), (ai,), ea, _ = _fixed_point([c0_inv])
+                cr, ci, ec, _ = _fixed_point(coeffs[1:]) or ([], [], 0, 0)
+                # -c0_inv * c_k, exact
+                d = ([ai * y - ar * x for x, y in zip(cr, ci)],
+                     [-(ar * y + ai * x) for x, y in zip(cr, ci)], ea + ec)
+                out = _solve(c0_inv, n, lambda m, o: ring.dot_fixed(
+                    [(d, (o[0][m - 1::-1], o[1][m - 1::-1], o[2]))]))
+            return Series(ring, self.var, -self.lo, out, -self.lo + n)
+        out = [ring.zero] * n
         out[0] = c0_inv
         for m in range(1, n):
-            acc = self.ring.zero
+            acc = ring.zero
             for k in range(1, m + 1):
-                ck = self.coeffs[k]
-                if not self.ring.is_zero(ck):
+                ck = coeffs[k]
+                if not ring.is_zero(ck):
                     acc = acc + ck * out[m - k]
             out[m] = -(acc * c0_inv)
-        return Series(self.ring, self.var, -self.lo, out, -self.lo + n)
+        return Series(ring, self.var, -self.lo, out, -self.lo + n)
 
     def pow_int(self, exponent: int) -> "Series":
         if exponent < 0:
@@ -490,34 +538,55 @@ class Series:
         return Series(self.ring, self.var, lo - 1, out, self.order - 1)
 
     def exp(self) -> "Series":
-        """exp of a series with zero constant term and no negative part."""
+        """exp of a series with zero constant term and no negative part:
+        g_m = (1/m) sum_{0<k<=m} k f_k g_(m-k); over ComplexRing each g_m is
+        one exact sum, divided by m, rounded once."""
         if self.lo < 0 and any(not self.ring.is_zero(c) for c in self.coeffs[: -self.lo]):
             raise AlgebraError("exp requires lowest exponent >= 1")
         if self.lo <= 0 and self.order > 0 and not self.ring.is_zero(self.coefficient(0)):
             raise AlgebraError("exp requires zero constant term")
-        n = self.order
+        ring, n = self.ring, self.order
         if n <= 0:
-            return Series.zero(self.ring, self.var, n)
-        mul = self.ring.mul_rational
-        f = [self.coefficient(k) if k < n else self.ring.zero for k in range(n)]
-        g = [self.ring.zero] * n
-        g[0] = self.ring.one
+            return Series.zero(ring, self.var, n)
+        f = [self.coefficient(k) for k in range(n)]
+        if isinstance(ring, ComplexRing):
+            with self._naming_errors():
+                fr, fi, ef, _ = _fixed_point(f[1:]) or ([], [], 0, 0)
+                kf = ([k * x for k, x in enumerate(fr, 1)],
+                      [k * y for k, y in enumerate(fi, 1)], ef)
+                g = _solve(ring.one, n, lambda m, o: ring.dot_fixed(
+                    [(kf, (o[0][m - 1::-1], o[1][m - 1::-1], o[2]))], m))
+            return Series(ring, self.var, 0, g, n)
+        mul = ring.mul_rational
+        g = [ring.zero] * n
+        g[0] = ring.one
         for m in range(1, n):
-            acc = self.ring.zero
+            acc = ring.zero
             for k in range(1, m + 1):
-                if not self.ring.is_zero(f[k]):
+                if not ring.is_zero(f[k]):
                     acc = acc + mul(f[k] * g[m - k], k)
             g[m] = mul(acc, Fraction(1, m))
-        return Series(self.ring, self.var, 0, g, n)
+        return Series(ring, self.var, 0, g, n)
 
     def sqrt_unit(self) -> "Series":
         """Square root h of a series r with constant term 1 (principal
         branch), from h * h = r coefficient by coefficient:
-        h_m = (r_m - sum_{0<k<m} h_k h_(m-k)) / 2."""
+        h_m = (r_m - sum_{0<k<m} h_k h_(m-k)) / 2; over ComplexRing each
+        h_m is that exact value rounded once."""
         if self.lo > 0 or self.order <= 0 or not self.ring.is_zero(
                 self.coefficient(0) - self.ring.one):
             raise AlgebraError("sqrt_unit requires constant term 1")
         ring, n = self.ring, self.order
+        if isinstance(ring, ComplexRing):
+            with self._naming_errors():
+                rr, ri, er, _ = _fixed_point([self.coefficient(m) for m in range(n)])
+                neg_r = ([-x for x in rr], [-y for y in ri], er)
+                one = ([1], [0], 0)
+                # -h_m = (sum_{0<k<m} h_k h_(m-k) - r_m) / 2 rounds as h_m does
+                h = _solve(ring.one, n, lambda m, o: -ring.dot_fixed(
+                    [((o[0][1:m], o[1][1:m], o[2]), (o[0][m - 1:0:-1], o[1][m - 1:0:-1], o[2])),
+                     ((neg_r[0][m:m + 1], neg_r[1][m:m + 1], er), one)], 2))
+            return Series(ring, self.var, 0, h, n)
         h = [ring.one] + [ring.zero] * (n - 1)
         for m in range(1, n):
             acc = ring.zero
@@ -601,6 +670,44 @@ class Series:
                 power = power * h
             g[n] = ring.mul_rational(power.coeffs[n - 1], Fraction(1, n))
         return Series(ring, var, 0, g, target)
+
+
+def linear_combination(terms) -> Series:
+    """sum c * s over the (c, s) pairs of `terms`, c a ring element, on the
+    window of the sum of the s.scale(c).  Over ComplexRing each coefficient
+    is the exact sum rounded once: one mpc operation per coefficient
+    already rounds once, so one term is s.scale(c) (s itself when c is
+    one) and two terms with c = 1 are s1 + s2; any other sum is one
+    `ComplexRing.dot_fixed` per coefficient.  Over the exact rings it is
+    the sum of the s.scale(c)."""
+    (_, first), *rest = terms
+    for _, s in rest:
+        first._check(s)
+    ring, var = first.ring, first.var
+    one_op = not rest or (len(rest) == 1 and all(c == ring.one for c, _ in terms))
+    if one_op or not isinstance(ring, ComplexRing):
+        total = None
+        for c, s in terms:
+            s = s if c == ring.one else s.scale(c)
+            total = s if total is None else total + s
+        return total
+    order = min(s.order for _, s in terms)
+    lo = min(min(s.lo for _, s in terms), order)
+    with first._naming_errors():
+        live = [(c, s.lo, s._fixed_form()) for c, s in terms if c]
+        live = [t for t in live if t[2] is not None]
+        xr, xi, ex, _ = _fixed_point([c for c, _, _ in live]) or ([], [], 0, 0)
+    if not xr:
+        return Series(ring, var, lo, [ring.zero] * (order - lo), order)
+    # one exponent for the rows: each row's shift goes into its factor c
+    e = min(f[2] for _, _, f in live)
+    x = ([v << (f[2] - e) for v, (_, _, f) in zip(xr, live)],
+         [v << (f[2] - e) for v, (_, _, f) in zip(xi, live)], ex)
+    rows_r = [[0] * (s_lo - lo) + f[0] for _, s_lo, f in live]
+    rows_i = [[0] * (s_lo - lo) + f[1] for _, s_lo, f in live]
+    coeffs = [ring.dot_fixed([(x, (col_r, col_i, e))])
+              for _, col_r, col_i in zip(range(order - lo), zip(*rows_r), zip(*rows_i))]
+    return Series(ring, var, lo, coeffs, order)
 
 
 class Poly:

@@ -9,7 +9,10 @@ residue extraction emits exactly these coefficients through the geometric
 expansion 1/(z_1 - z) = sum_k (z - a_i)^k / (z_1 - a_i)^(k+1).  One chart
 (`_Chart`) expands the basis along a local coordinate: at each branch point
 in u = z - a_i and in sigma(u) for the recursion, and in z(x) at the origin
-for the double Hurwitz predictions; it is ring-generic.
+for the double Hurwitz predictions; it is ring-generic.  Over mpc each
+bracket block is one linear combination of its series, and each origin
+prediction one exact contraction of the form with its slot vectors; both
+round once per coefficient.
 
 Beyond the recursion itself the engine hosts the closed-form cross-checks
 (the triple-point form and the genus-one one-point form), the expansion of
@@ -22,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
+from operator import add
 
 import mpmath
 
 from .curve import BranchPointData, SpectralCurve, two_point_coefficients
 from .cutjoin import DHTable, canonical_mu
-from .series import Series, TruncationError
+from .series import Series, TruncationError, _fixed_point, linear_combination
 
 __all__ = ["CorrelationForm", "RecursionEngine", "VerifyRow", "VerifyReport",
            "LoopCheckReport"]
@@ -179,6 +183,13 @@ class _Chart:
         return self._factors[j, step]
 
 
+def _check_stable(g: int, n: int) -> None:
+    if g < 0 or n < 1:
+        raise ValueError(f"forms need g >= 0 and n >= 1, got (g, n) = ({g}, {n})")
+    if 2 * g - 2 + n <= 0:
+        raise ValueError("stable forms require 2g - 2 + n > 0")
+
+
 def _omega02_cut(frame: BranchPointData, window: int) -> Series:
     """omega_{0,2}(z, sigma(z)) at z = a_i + u, du stripped:
     (u - sigma(u))^-2 sigma'(u)."""
@@ -231,10 +242,7 @@ class RecursionEngine:
 
     def form(self, g: int, n: int) -> CorrelationForm:
         """omega_{g,n} for 2g - 2 + n > 0 in the pole basis."""
-        if g < 0 or n < 1:
-            raise ValueError(f"forms need g >= 0 and n >= 1, got (g, n) = ({g}, {n})")
-        if 2 * g - 2 + n <= 0:
-            raise ValueError("stable forms require 2g - 2 + n > 0")
+        _check_stable(g, n)
         key = (g, n)
         if key not in self._forms:
             with mpmath.workprec(self.prec):
@@ -281,25 +289,26 @@ class RecursionEngine:
         """The bracketed quadratic expression as u-series grouped by the
         spectator-slot basis assignment; the first argument of each factor
         is read on the z-side chart, the second on the sigma-side chart."""
-        blocks: dict[tuple, Series] = {}
+        # each block is one linear combination of its series, collected here
+        blocks: dict[tuple, list] = {}
+        one = self.ring.one
 
-        def add(key: tuple, series: Series):
-            blocks[key] = blocks[key] + series if key in blocks else series
+        def add(key: tuple, c, series: Series):
+            blocks.setdefault(key, []).append((c, series))
 
         # cut term: omega_{g-1, n+1}(z, sigma(z), spectators)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                add((), _omega02_cut(frame, window))
+                add((), one, _omega02_cut(frame, window))
             else:
                 inner = self.form(g - 1, n + 1)
                 for idx, c in inner.coeffs.items():
                     series = z_side.element(_label(idx[0])) * s_side.element(_label(idx[1]))
-                    add(idx[2:], series.scale(c))
+                    add(idx[2:], c, series)
 
         # product terms over ordered stable splits.  A factor depends on its
         # r spectator slots only through r: it is grouped once per shape, and
-        # each product formed once per r.  The loop order r, subset, g1, sp1,
-        # sp2 fixes the order in which every block adds its terms.
+        # each product formed once per r.
         groups: dict[tuple, dict[tuple, Series]] = {}
 
         def group(genus: int, arity: int, chart: _Chart) -> dict[tuple, Series]:
@@ -314,10 +323,10 @@ class RecursionEngine:
                 else:
                     terms = [(_label(idx[0]), idx[1:], c)
                              for idx, c in self.form(genus, arity).coeffs.items()]
-                out = groups[shape] = {}
+                out: dict[tuple, list] = {}
                 for label, spect, c in terms:
-                    series = chart.element(label).scale(c)
-                    out[spect] = out[spect] + series if spect in out else series
+                    out.setdefault(spect, []).append((c, chart.element(label)))
+                groups[shape] = {spect: linear_combination(t) for spect, t in out.items()}
             return groups[shape]
 
         spect_slots = tuple(range(2, n + 1))
@@ -337,8 +346,9 @@ class RecursionEngine:
                             if shape not in products:
                                 products[shape] = s1 * s2
                             slot_index = dict(zip(subset + complement, sp1 + sp2))
-                            add(tuple(slot_index[s] for s in spect_slots), products[shape])
-        return blocks
+                            add(tuple(slot_index[s] for s in spect_slots), one,
+                                products[shape])
+        return {key: linear_combination(terms) for key, terms in blocks.items()}
 
     # ------------------------------------------------------------------
     # closed forms
@@ -388,44 +398,59 @@ class RecursionEngine:
 
     def expand_at_origin(self, form: CorrelationForm, mu_max: int):
         """Predicted double Hurwitz values at this curve's weights: the
-        coefficient of prod mu_i x_i^(mu_i - 1) dx_i of the form."""
+        coefficient of prod mu_i x_i^(mu_i - 1) dx_i of the form.  The form
+        is contracted with its slot vectors in exact integers, last slot
+        first, and each prediction, divided by prod(mu), is rounded once."""
         with mpmath.workprec(self.prec):
             zx = self.curve.invert_x_numeric(mu_max + 1)
             chart = _Chart(zx, zx.derivative(), self.ring.zero, self.curve.branch_points())
-            vectors = {}
-            for idx in {idx_j for idx in form.coeffs for idx_j in idx}:
-                b = chart.element(_label(idx))
-                vectors[idx] = [b.coefficient(mu - 1) for mu in range(1, mu_max + 1)]
-            # columns[j]: slot j's vector for every coefficient, in order;
-            # partial[j]: every c times its first j slot factors, for the
-            # current mu[:j], so a prefix product is formed once and each
-            # term keeps the chain c * v_1 * ... * v_n of the direct loop
-            columns = [[vectors[idx[j]] for idx in form.coeffs] for j in range(form.n)]
-            partial = [list(form.coeffs.values())]
-            previous = (0,) * form.n
-            predictions: dict[tuple[int, ...], mpmath.mpc] = {}
-            for mu in product(range(1, mu_max + 1), repeat=form.n):
-                changed = next(j for j, (a, b) in enumerate(zip(mu, previous)) if a != b)
-                del partial[changed + 1:]
-                for j in range(changed, form.n - 1):
-                    partial.append([term * vec[mu[j] - 1]
-                                    for term, vec in zip(partial[j], columns[j])])
-                last = mu[-1] - 1
-                total = mpmath.mpc(0)
-                for term, vec in zip(partial[-1], columns[-1]):
-                    total += term * vec[last]
-                predictions[mu] = total / prod(mu)
-                previous = mu
-            return predictions
+            labels = list({idx_j for idx in form.coeffs for idx_j in idx})
+            fv = _fixed_point([chart.element(_label(idx)).coefficient(mu - 1)
+                               for idx in labels for mu in range(1, mu_max + 1)])
+            fc = _fixed_point(list(form.coeffs.values()))
+            mus = list(product(range(1, mu_max + 1), repeat=form.n))
+            if fv is None or fc is None:
+                return {mu: self.ring.zero for mu in mus}
+            (vr, vi, ev, _), (cr, ci, ec, _) = fv, fc
+            vectors = {idx: (vr[k * mu_max:(k + 1) * mu_max], vi[k * mu_max:(k + 1) * mu_max])
+                       for k, idx in enumerate(labels)}
+            # tensors[prefix]: for each tail mu[len(prefix):], in product
+            # order, the exact sum over the coefficients c whose index starts
+            # with prefix of c times the tail's slot values
+            tensors = {idx: ([r], [i]) for idx, r, i in zip(form.coeffs, cr, ci)}
+            for _ in range(form.n - 1):
+                contracted: dict[tuple, tuple] = {}
+                for idx, (tr, ti) in tensors.items():
+                    wr, wi = vectors[idx[-1]]
+                    re = [a * c - b * d for a, b in zip(wr, wi) for c, d in zip(tr, ti)]
+                    im = [a * d + b * c for a, b in zip(wr, wi) for c, d in zip(tr, ti)]
+                    if idx[:-1] in contracted:
+                        sr, si = contracted[idx[:-1]]
+                        re, im = list(map(add, sr, re)), list(map(add, si, im))
+                    contracted[idx[:-1]] = (re, im)
+                tensors = contracted
+            # the first slot: one exact sum per mu, rounded once
+            firsts = [idx for (idx,) in tensors]
+            columns = list(zip(zip(*(re for re, _ in tensors.values())),
+                               zip(*(im for _, im in tensors.values()))))
+            xs = [([vectors[i][0][m] for i in firsts], [vectors[i][1][m] for i in firsts], ev)
+                  for m in range(mu_max)]
+            et = ec + (form.n - 1) * ev
+            return {mu: self.ring.dot_fixed([(x, (col_r, col_i, et))], prod(mu))
+                    for mu, (x, (col_r, col_i)) in zip(mus, product(xs, columns))}
 
     def verify_conjecture(self, g: int, n: int, mu_max: int,
                           tolerance=None) -> VerifyReport:
         """Compare the origin expansion of omega_{g,n} with the exact
         recursion values specialized at this curve's weights; the report
-        also fails if the form's asymmetry is not below the tolerance."""
+        also fails if the form's asymmetry is not below the tolerance.  The
+        largest key, (mu_max, .., mu_max), is checked against the table's
+        caps before any frame or form is built."""
         if mu_max < 1:
             raise ValueError(f"mu_max must be at least 1, got {mu_max}")
         tolerance = self._tolerance(tolerance)
+        _check_stable(g, n)
+        self.table.check_caps(g, (mu_max,) * n)
         with mpmath.workprec(self.prec):
             form = self.form(g, n)
             predicted = self.expand_at_origin(form, mu_max)
@@ -443,10 +468,12 @@ class RecursionEngine:
         Q = (x1-x2)/(z1-z2)).  The mixed coefficients of -log Q are the
         Grunsky coefficients of the numeric z(x), `two_point_coefficients`
         at the window 2 mu_max + 2; rows vary mu1 fastest, and both
-        orderings of each pair are read against the symmetric table."""
+        orderings of each pair are read against the symmetric table, whose
+        caps are checked first, at (mu_max, mu_max)."""
         if mu_max < 1:
             raise ValueError(f"mu_max must be at least 1, got {mu_max}")
         tolerance = self._tolerance(tolerance)
+        self.table.check_caps(0, (mu_max, mu_max))
         with mpmath.workprec(self.prec):
             zx = self.curve.invert_x_numeric(2 * mu_max + 1)
             predicted = two_point_coefficients(zx, mu_max)

@@ -302,6 +302,23 @@ def test_no_points_rejected(capsys):
     assert err.startswith("error: forms need g >= 0 and n >= 1")
 
 
+def test_tr_verify_checks_table_caps_first(capsys, monkeypatch):
+    # the largest key of the box is checked against the table's caps before
+    # any frame or z(x) is built: (0,3) at mu_max 21 ran 4 s, g = 17 did
+    # not end, before the table raised
+    def unreachable(*args):
+        raise AssertionError("a curve series was built for a key past the caps")
+
+    monkeypatch.setattr(SpectralCurve, "frames", unreachable)
+    monkeypatch.setattr(SpectralCurve, "invert_x_numeric", unreachable)
+    for argv, key in [(("--g", "0", "--n", "3", "--mu-max", "21"), "DH_{0,3}(21, 21, 21)"),
+                      (("--g", "17", "--n", "1", "--mu-max", "1"), "DH_{17,1}(1,)"),
+                      (("--g", "0", "--n", "2", "--mu-max", "31"), "DH_{0,2}(31, 31)")]:
+        code, out, err = run(capsys, "tr-verify", *argv)
+        assert code == 2 and not out, argv
+        assert err == f"error: {key} exceeds configured caps (|mu| <= 60, g <= 16)\n"
+
+
 def test_empty_mu_box_rejected(capsys):
     # a usage error, not a PASS with no rows, on both verification paths
     for n in ("3", "2"):

@@ -10,8 +10,9 @@ from dhtr.quantum import (
     f01_from_quantum_curve,
     semiclassical_check,
 )
-from dhtr.series import Series, SeriesRing, TruncationError
+from dhtr.series import Series, TruncationError
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
+from nested_series import SeriesRing
 
 
 @pytest.fixture(scope="module")

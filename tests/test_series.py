@@ -14,9 +14,9 @@ from dhtr.series import (
     RationalRing,
     RingMismatchError,
     Series,
-    SeriesRing,
 )
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
+from nested_series import SeriesRing
 
 QQ = RationalRing()
 
@@ -608,6 +608,152 @@ def test_complex_product_rejects_non_finite(bad):
     for left, right in ((finite, broken), (broken, finite)):
         with pytest.raises(ArithmeticError, match="non-finite.*zeta"):
             left * right
+
+
+# ----------------------------------------------------------------------
+# ComplexRing.dot_fixed: exact sums of products, rounded once per part
+
+
+def _rounded_fraction(q):
+    """The raw mpf tuple of the rational q rounded to nearest at the
+    working precision."""
+    return mpmath.fdiv(q.numerator, q.denominator)._mpf_
+
+
+def _rounded_sum(pairs, divisor=1):
+    """Raw parts of sum x[k] * y[k] over the pairs of mpc lists, divided
+    by the divisor: exact rationals, each part then rounded by mpmath."""
+    re = im = Fraction(0)
+    for xs, ys in pairs:
+        for x, y in zip(xs, ys):
+            (xr, xi), (yr, yi) = ((_exact(mpmath.re(v)), _exact(mpmath.im(v))) for v in (x, y))
+            re += xr * yr - xi * yi
+            im += xr * yi + xi * yr
+    return _rounded_fraction(re / divisor), _rounded_fraction(im / divisor)
+
+
+def _dot(ring, pairs, divisor=1):
+    """dot_fixed on the fixed forms of pairs of mpc lists; a pair with an
+    all-zero list adds nothing and is left out."""
+    fixed = [(series_module._fixed_point(xs), series_module._fixed_point(ys))
+             for xs, ys in pairs]
+    return ring.dot_fixed([(fx, fy) for fx, fy in fixed if fx and fy], divisor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([64, 256]), st.data())
+def test_dot_fixed_correctly_rounded(prec, data):
+    # full-width mantissas with exponents over 400 bits, exact zeros, real
+    # and complex values, lists of unequal lengths, a divisor that is 1, a
+    # power of two or neither; with `cancel` every pair comes back negated,
+    # so the exact sum is zero and the result must be an exact zero
+    draw = data.draw
+    raws = [(draw(st.lists(_coefficient(prec), max_size=8)),
+             draw(st.lists(_coefficient(prec), max_size=8)))
+            for _ in range(draw(st.integers(1, 3)))]
+    divisor = draw(st.one_of(st.just(1), st.sampled_from([2, 3, 10, 2 ** 70 + 1]),
+                             st.integers(1, 10 ** 6)))
+    cancel = draw(st.booleans())
+    ring = ComplexRing(prec)
+    with mpmath.workprec(prec):
+        pairs = [([_make(r) for r in xs], [_make(r) for r in ys]) for xs, ys in raws]
+        if cancel:
+            pairs += [(xs, [-y for y in ys]) for xs, ys in pairs]
+        got = _dot(ring, pairs, divisor)
+        want = _rounded_sum(pairs, divisor)
+    assert got._mpc_ == want
+    if cancel:
+        assert got._mpc_ == mpmath.mpc(0)._mpc_
+
+
+def test_dot_fixed_wide_spread_and_cancellation():
+    # terms from 2**-600 to 2**600 in one sum, a divisor with a remainder,
+    # a sum whose large terms cancel exactly, leaving the 2**-600 term, and
+    # one that cancels to zero
+    ring = ComplexRing(256)
+    with mpmath.workprec(256):
+        big = mpmath.mpc(mpmath.ldexp(3 ** 150, 300), mpmath.ldexp(-(5 ** 100), 2))
+        tiny = mpmath.mpc(mpmath.ldexp(7 ** 80, -600), mpmath.ldexp(1, -300))
+        third = mpmath.mpc(1) / 3
+        cases = [([([big, tiny, third], [tiny, big, mpmath.mpc(0, 1)])], 7),
+                 ([([big, tiny], [third, third]), ([big], [-third])], 1),
+                 ([([big, tiny], [third, tiny]), ([big, tiny], [-third, -tiny])], 3)]
+        for pairs, divisor in cases:
+            got = _dot(ring, pairs, divisor)
+            assert got._mpc_ == _rounded_sum(pairs, divisor)
+        assert _dot(ring, cases[1][0])._mpc_ == (tiny * third)._mpc_
+        assert _dot(ring, cases[2][0], 3)._mpc_ == mpmath.mpc(0)._mpc_
+        assert ring.dot_fixed([])._mpc_ == mpmath.mpc(0)._mpc_
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_linear_combination_rounds_once(data):
+    # sum c * s with windows of every offset: each coefficient is the exact
+    # sum rounded once, on the window of the sum of the scaled series
+    draw = data.draw
+    prec = 256
+    ring = ComplexRing(prec)
+    with mpmath.workprec(prec):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            lo = draw(st.integers(-3, 2))
+            coeffs = [mpmath.mpc(_make(r))
+                      for r in draw(st.lists(_coefficient(prec), max_size=7))]
+            c = ring.one if draw(st.booleans()) else mpmath.mpc(_make(draw(_coefficient(prec))))
+            terms.append((c, _series(ring, lo, coeffs)))
+        total = series_module.linear_combination(terms)
+        order = min(s.order for _, s in terms)
+        lo = min(min(s.lo for _, s in terms), order)
+        want = [_rounded_sum([([c], [s.coefficient(e)]) for c, s in terms])
+                for e in range(lo, order)]
+    assert (total.lo, total.order) == (lo, order)
+    assert [c._mpc_ for c in total.coeffs] == want
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+@pytest.mark.parametrize("op", ["inverse", "exp", "sqrt_unit"])
+def test_numeric_recurrences_against_exact(op, prec):
+    # rational inputs, the same recurrence over RationalRing as reference.
+    # Bound per coefficient: |numeric_k - exact_k| <= 2**-(prec-10) times
+    # the largest |exact_j|, j <= k.  Rounding errors of earlier
+    # coefficients feed later ones; on these inputs the worst is about 85
+    # units of 2**-prec of that scale (inverse), and the schoolbook loops,
+    # each product and sum rounded, meet the bound too (worst about 47).
+    ring = ComplexRing(prec)
+    worst = Fraction(0)
+    for seed in range(20):
+        rng = random.Random(seed)
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
+        values[0] = {"inverse": Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                     "exp": Fraction(0), "sqrt_unit": Fraction(1)}[op]
+        exact = getattr(Series.from_coeffs(QQ, "z", values, 24), op)()
+        with mpmath.workprec(prec):
+            numeric = getattr(Series.from_coeffs(ring, "z", values, 24), op)()
+        assert (numeric.lo, numeric.order) == (exact.lo, exact.order)
+        scale = Fraction(0)
+        for k in range(24):
+            want, got = exact.coefficient(k), numeric.coefficient(k)
+            scale = max(scale, abs(want))
+            error = abs(_exact(got.real) - want) + abs(_exact(got.imag))
+            worst = max(worst, error / scale * 2 ** prec)
+    assert worst <= 2 ** 10, float(worst)
+
+
+@pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf)])
+def test_exact_sums_reject_non_finite(bad):
+    # as products do: the recurrences and a sum of two or more terms raise
+    ring = ComplexRing(256)
+    one = mpmath.mpc(1)
+    finite = Series(ring, "zeta", 0, [one, mpmath.mpc(2, 3)], 2)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        series_module._fixed_point([one, bad])
+    for head, call in ((one, Series.inverse), (mpmath.mpc(0), Series.exp),
+                       (one, Series.sqrt_unit),
+                       (one, lambda s: series_module.linear_combination(
+                           [(one, finite), (mpmath.mpc(2), s)]))):
+        with pytest.raises(ArithmeticError, match="non-finite.*zeta"):
+            call(Series(ring, "zeta", 0, [head, bad], 2))
 
 
 def test_nested_series_ring():

@@ -15,7 +15,7 @@ EAGER_DIR = [
     "ComplexRing", "CorrelationForm", "CurveSpec", "DHTable",
     "FactorizationOracle", "Poly", "PruningKernel", "PruningTransform",
     "RationalRing", "RecursionEngine", "ResourceLimitError", "Series",
-    "SeriesRing", "SpectralCurve", "WaveFunction", "WeightPolyRing",
+    "SpectralCurve", "WaveFunction", "WeightPolyRing",
     "WeightPolynomial", "__all__", "__builtins__", "__cached__", "__doc__",
     "__file__", "__loader__", "__name__", "__package__", "__path__",
     "__spec__", "__version__", "apply_quantum_curve",
@@ -27,7 +27,7 @@ ALL = [
     "invert_x_exact", "FactorizationOracle",
     "PruningKernel", "PruningTransform", "WaveFunction",
     "apply_quantum_curve", "semiclassical_check", "ComplexRing", "Poly",
-    "RationalRing", "Series", "SeriesRing", "CorrelationForm",
+    "RationalRing", "Series", "CorrelationForm",
     "RecursionEngine", "WeightPolynomial", "WeightPolyRing", "__version__",
 ]
 

@@ -8,9 +8,10 @@ import pytest
 from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit, w_poly
 from dhtr.cutjoin import DHTable, canonical_mu
 from dhtr.pruning import PruningTransform
-from dhtr.series import RationalRing, Series, SeriesRing, TruncationError
+from dhtr.series import RationalRing, Series, TruncationError
 from dhtr.toprec import CorrelationForm, RecursionEngine, _Chart
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
+from nested_series import SeriesRing
 
 
 @pytest.fixture(scope="module")
@@ -281,28 +282,52 @@ def test_reach_at_euler_characteristic_four(engine):
         assert report.ok, (g, n, report.max_residual)
 
 
-def test_origin_expansion_matches_direct_loop(engine):
-    # expand_at_origin forms each mu-prefix product once; every prediction
-    # keeps the bits of the direct loop over (mu, coefficient, slot)
-    curve = engine.curve
-    for g, n in [(0, 4), (1, 2), (2, 1)]:
+def _exact_parts(x):
+    """The exact rational real and imaginary parts of an mpc."""
+    def exact(part):
+        sign, man, exp, _ = part
+        value = Fraction(-man if sign else man)
+        return value * 2 ** exp if exp >= 0 else value / 2 ** -exp
+    return tuple(exact(part) for part in x._mpc_)
+
+
+@pytest.mark.parametrize("curve_args, forms", [
+    ((2, [1, 1], Fraction(1, 10), 256), [(0, 4), (1, 2), (2, 1)]),
+    ((3, [1, 1, 1], Fraction(1, 10), 192), [(0, 3)]),
+], ids=["real-branch-points", "complex-branch-points"])
+def test_origin_expansion_rounds_exact_sum_once(curve_args, forms):
+    # each prediction is the exact rational sum over the coefficients c of
+    # c * prod_j v_j / prod(mu), from the same c and the same slot vectors
+    # v_j (elements of the origin chart), rounded once per part
+    d, q, s, prec = curve_args
+    curve = SpectralCurve(CurveSpec.make(d, q, s, precision=prec))
+    engine = RecursionEngine(curve)
+    mu_max = 4 if d == 2 else 3
+    for g, n in forms:
         form = engine.form(g, n)
-        predicted = engine.expand_at_origin(form, 4)
-        with mpmath.workprec(engine.prec):
-            chart = _origin_chart(curve.invert_x_numeric(5), curve.branch_points())
+        predicted = engine.expand_at_origin(form, mu_max)
+        assert list(predicted) == list(product(range(1, mu_max + 1), repeat=n))
+        with mpmath.workprec(prec):
+            chart = _origin_chart(curve.invert_x_numeric(mu_max + 1), curve.branch_points())
             vectors = {}
             for i, k in {idx_j for idx in form.coeffs for idx_j in idx}:
                 b = chart.element((i, k + 1))
-                vectors[(i, k)] = [b.coefficient(mu - 1) for mu in range(1, 5)]
-            assert len(predicted) == 4 ** n
-            for mu in product(range(1, 5), repeat=n):
-                total = mpmath.mpc(0)
-                for idx, c in form.coeffs.items():
-                    term = c
+                vectors[(i, k)] = [_exact_parts(b.coefficient(mu - 1))
+                                   for mu in range(1, mu_max + 1)]
+            terms = [(_exact_parts(c), idx) for idx, c in form.coeffs.items()]
+            assert (d == 3) == any(ci for (_, ci), _ in terms)
+            for mu, value in predicted.items():
+                re = im = Fraction(0)
+                for (cr, ci), idx in terms:
                     for mu_j, idx_j in zip(mu, idx):
-                        term = term * vectors[idx_j][mu_j - 1]
-                    total += term
-                assert predicted[mu]._mpc_ == (total / prod(mu))._mpc_, (g, n, mu)
+                        vr, vi = vectors[idx_j][mu_j - 1]
+                        cr, ci = cr * vr - ci * vi, cr * vi + ci * vr
+                    re, im = re + cr, im + ci
+                want = tuple(mpmath.fdiv(x.numerator, x.denominator * prod(mu))._mpf_
+                             for x in (re, im))
+                assert value._mpc_ == want, (g, n, mu)
+    empty = engine.expand_at_origin(CorrelationForm(0, 3, {}), 2)
+    assert empty == {mu: 0 for mu in product((1, 2), repeat=3)}
 
 
 def test_symmetry_of_forms(engine):
