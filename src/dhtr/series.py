@@ -19,8 +19,9 @@ the exact sum of the exact products, rounded once to nearest at
 mpmath.mp.prec.  A Series product is one exact convolution
 (ComplexRing.convolve_fixed).  Each coefficient of `inverse`, `exp` and
 `sqrt_unit` is one exact sum over earlier outputs, divided exactly by the
-recurrence's integer where it has one (ComplexRing.dot_fixed), and each
-coefficient of a `linear_combination` is one exact sum over its terms.
+recurrence's integer where it has one (ComplexRing.dot_fixed).  Callers
+that contract before they round (the TR step) sum scaled fixed lists
+exactly with `_fixed_sum` and round each result once with `_rounded`.
 A Series converts its coefficients to that exact fixed-point form once, on
 its first use as a factor, so a series that enters many products (a Horner
 step, a kernel, a basis element) is converted once; a recurrence converts
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 import mpmath
@@ -48,7 +50,6 @@ __all__ = [
     "ComplexRing",
     "Series",
     "Poly",
-    "linear_combination",
 ]
 
 
@@ -136,6 +137,23 @@ def _rounded(v, e, prec, divisor=1):
     return (sign, v, e + zeros, v.bit_length())
 
 
+def _fixed_sum(terms):
+    """The exact sum of x * v over the terms (x, v): x = (re, im, exp) is
+    one fixed value, v = (re ints, im ints, exp, ...) a fixed list as
+    `_fixed_point` makes it, None for all zeros, and a shorter list counts
+    as padded with zeros.  Returns the fixed list (re ints, im ints, exp)
+    on the smallest exponent of any term; no terms give ([], [], 0)."""
+    terms = [(x, v) for x, v in terms if v and v[0]]
+    e = min((x[2] + v[2] for x, v in terms), default=0)
+    rows_r, rows_i = [], []
+    for (xr, xi, ex), v in terms:
+        s = ex + v[2] - e
+        rows_r.append([(xr * a - xi * b) << s for a, b in zip(v[0], v[1])])
+        rows_i.append([(xr * b + xi * a) << s for a, b in zip(v[0], v[1])])
+    return ([sum(col) for col in zip_longest(*rows_r, fillvalue=0)],
+            [sum(col) for col in zip_longest(*rows_i, fillvalue=0)], e)
+
+
 def _solve(first, n, step):
     """The coefficients first, c_1, .., c_(n-1) of a recurrence over
     ComplexRing: c_m = step(m, fixed), where fixed is the fixed list
@@ -188,9 +206,9 @@ class ComplexRing:
 
     Every numeric sum of products is exact and rounded once per real and
     imaginary part, to nearest at mpmath.mp.prec: Series products go
-    through `convolve_fixed`, the coefficient recurrences, sums of scaled
-    series and the origin expansion through `dot_fixed`.  A non-finite
-    input coefficient raises ArithmeticError."""
+    through `convolve_fixed`, the coefficient recurrences and the origin
+    expansion through `dot_fixed`.  A non-finite input coefficient raises
+    ArithmeticError."""
 
     def __init__(self, precision: int):
         if precision < 64:
@@ -670,44 +688,6 @@ class Series:
                 power = power * h
             g[n] = ring.mul_rational(power.coeffs[n - 1], Fraction(1, n))
         return Series(ring, var, 0, g, target)
-
-
-def linear_combination(terms) -> Series:
-    """sum c * s over the (c, s) pairs of `terms`, c a ring element, on the
-    window of the sum of the s.scale(c).  Over ComplexRing each coefficient
-    is the exact sum rounded once: one mpc operation per coefficient
-    already rounds once, so one term is s.scale(c) (s itself when c is
-    one) and two terms with c = 1 are s1 + s2; any other sum is one
-    `ComplexRing.dot_fixed` per coefficient.  Over the exact rings it is
-    the sum of the s.scale(c)."""
-    (_, first), *rest = terms
-    for _, s in rest:
-        first._check(s)
-    ring, var = first.ring, first.var
-    one_op = not rest or (len(rest) == 1 and all(c == ring.one for c, _ in terms))
-    if one_op or not isinstance(ring, ComplexRing):
-        total = None
-        for c, s in terms:
-            s = s if c == ring.one else s.scale(c)
-            total = s if total is None else total + s
-        return total
-    order = min(s.order for _, s in terms)
-    lo = min(min(s.lo for _, s in terms), order)
-    with first._naming_errors():
-        live = [(c, s.lo, s._fixed_form()) for c, s in terms if c]
-        live = [t for t in live if t[2] is not None]
-        xr, xi, ex, _ = _fixed_point([c for c, _, _ in live]) or ([], [], 0, 0)
-    if not xr:
-        return Series(ring, var, lo, [ring.zero] * (order - lo), order)
-    # one exponent for the rows: each row's shift goes into its factor c
-    e = min(f[2] for _, _, f in live)
-    x = ([v << (f[2] - e) for v, (_, _, f) in zip(xr, live)],
-         [v << (f[2] - e) for v, (_, _, f) in zip(xi, live)], ex)
-    rows_r = [[0] * (s_lo - lo) + f[0] for _, s_lo, f in live]
-    rows_i = [[0] * (s_lo - lo) + f[1] for _, s_lo, f in live]
-    coeffs = [ring.dot_fixed([(x, (col_r, col_i, e))])
-              for _, col_r, col_i in zip(range(order - lo), zip(*rows_r), zip(*rows_i))]
-    return Series(ring, var, lo, coeffs, order)
 
 
 class Poly:

@@ -9,10 +9,13 @@ residue extraction emits exactly these coefficients through the geometric
 expansion 1/(z_1 - z) = sum_k (z - a_i)^k / (z_1 - a_i)^(k+1).  One chart
 (`_Chart`) expands the basis along a local coordinate: at each branch point
 in u = z - a_i and in sigma(u) for the recursion, and in z(x) at the origin
-for the double Hurwitz predictions; it is ring-generic.  Over mpc each
-bracket block is one linear combination of its series, and each origin
-prediction one exact contraction of the form with its slot vectors; both
-round once per coefficient.
+for the double Hurwitz predictions; it is ring-generic.
+
+A recursion step is one contraction per branch point: the sigma-side chart
+carries the kernel, each pair of labels has one residue vector, and each
+coefficient is an exact integer sum of lower-form coefficients times those
+vectors, rounded once.  Each origin prediction is one exact contraction of
+the form with its slot vectors, rounded once.
 
 Beyond the recursion itself the engine hosts the closed-form cross-checks
 (the triple-point form and the genus-one one-point form), the expansion of
@@ -23,6 +26,7 @@ diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import prod
 from operator import add
@@ -31,7 +35,7 @@ import mpmath
 
 from .curve import BranchPointData, SpectralCurve, two_point_coefficients
 from .cutjoin import DHTable, canonical_mu
-from .series import Series, TruncationError, _fixed_point, linear_combination
+from .series import Series, TruncationError, _fixed_point, _fixed_sum, _rounded
 
 __all__ = ["CorrelationForm", "RecursionEngine", "VerifyRow", "VerifyReport",
            "LoopCheckReport"]
@@ -138,9 +142,10 @@ def _label(index: tuple[int, int]) -> tuple[int, int]:
 class _Chart:
     """The pole basis along z = a + local(t), memoized: the label (j, e) is
     dz/(z - a_j)^e, the series (local + a - a_j)^-e times dz, the
-    derivative of local (`None` for dt).  The z side at a branch point a_i
-    is local = u with dt, the sigma side local = sigma(u) with sigma'(u),
-    and the origin local = z(x) with z'(x) and a = 0.
+    derivative of local (`None` for dt), which may carry a factor.  The z
+    side at a branch point a_i is local = u with dt, the sigma side
+    local = sigma(u) with dz the kernel times sigma'(u), and the origin
+    local = z(x) with z'(x) and a = 0.
 
     Each element is its neighbour one step nearer e = 0 times one factor,
     (local + a - a_j)^-1, or local + a - a_j for e < 0: one product per
@@ -227,18 +232,19 @@ class RecursionEngine:
     # the recursion
 
     def window_for(self, g: int, n: int) -> int:
-        """The local window p + 4 (+ extra_order) of omega_{g,n}, where
+        """The local window p + 3 (+ extra_order) of omega_{g,n}, where
         p = 6g + 2n - 4 is its largest pole order at a branch point.
 
         A frame built at order N has the kernel from u^-2 with order N - 5
         and sigma' from u^0 with order N - 1.  The bracket's poles have
         order at most p - 2, so its series reach order N - 1 - (p - 2), and
-        kernel * bracket has order N - p - 3; _tr_step needs order >= 1,
-        that is N >= p + 4.  The lower forms in the bracket come from their
-        own windows, and their bits do not depend on the window.  A smaller
-        window raises TruncationError; wider ones (checked up to 8 more
-        orders) give the same bits."""
-        return (6 * g + 2 * n - 4) + 4 + self.extra_order
+        kernel * bracket has order N - p - 3.  Each residue vector
+        R[l1, l2] is one term of that product, read through u^-1 only, so
+        _tr_step needs order >= 0, that is N >= p + 3.  The lower forms in
+        the bracket come from their own windows, and their bits do not
+        depend on the window.  A smaller window raises TruncationError;
+        wider ones (checked up to 8 more orders) give the same bits."""
+        return (6 * g + 2 * n - 4) + 3 + self.extra_order
 
     def form(self, g: int, n: int) -> CorrelationForm:
         """omega_{g,n} for 2g - 2 + n > 0 in the pole basis."""
@@ -253,25 +259,13 @@ class RecursionEngine:
         window = self.window_for(g, n)
         # before recursing: a top-level form builds the frames once
         frames = self.curve.frames(window)
-        roots = self.curve.branch_points()
-        u = Series.identity(self.ring, "u", window)
+        prec, make = mpmath.mp.prec, mpmath.mp.make_mpc
         out: dict[tuple, mpmath.mpc] = {}
         for frame in frames:
-            z_side = _Chart(u, None, frame.a, roots, frame.index)
-            s_side = _Chart(frame.sigma, frame.sigma_prime, frame.a, roots)
-            blocks = self._bracket_blocks(g, n, frame, window, z_side, s_side)
-            for spect, series in blocks.items():
-                e = frame.kernel * series
-                if e.order < 1:
-                    raise TruncationError(
-                        f"local window {window} exhausted at branch point "
-                        f"{frame.index}; omega_{{{g},{n}}} needs a window "
-                        f"of (6g+2n-4)+4 = {6 * g + 2 * n}"
-                    )
-                for k1 in range(0, -e.lo):
-                    value = e.coefficient(-1 - k1)
-                    idx = ((frame.index, k1),) + spect
-                    out[idx] = out.get(idx, mpmath.mpc(0)) + value
+            for spect, (re, im, e) in self._bracket_blocks(g, n, frame, window).items():
+                for k1, (r, i) in enumerate(zip(re, im)):
+                    out[((frame.index, k1),) + spect] = make(
+                        (_rounded(r, e, prec), _rounded(i, e, prec)))
         form = CorrelationForm(g, n, out)
         self._trim(form)
         form.asymmetry = form.check_symmetry()
@@ -284,71 +278,95 @@ class RecursionEngine:
         cutoff = scale * mpmath.mpf(2) ** (-(3 * self.prec) // 4)
         form.coeffs = {idx: c for idx, c in form.coeffs.items() if abs(c) > cutoff}
 
-    def _bracket_blocks(self, g: int, n: int, frame: BranchPointData, window: int,
-                        z_side: _Chart, s_side: _Chart):
-        """The bracketed quadratic expression as u-series grouped by the
-        spectator-slot basis assignment; the first argument of each factor
-        is read on the z-side chart, the second on the sigma-side chart."""
-        # each block is one linear combination of its series, collected here
-        blocks: dict[tuple, list] = {}
-        one = self.ring.one
+    def _fixed_form(self, g: int, n: int) -> list[tuple]:
+        """The (pole indices, fixed coefficient) pairs of omega_{g,n}, on one
+        exponent; a non-finite coefficient raises ArithmeticError."""
+        coeffs = self.form(g, n).coeffs
+        re, im, e, _ = _fixed_point(list(coeffs.values())) or ([], [], 0, 0)
+        return [(idx, (r, i, e)) for idx, r, i in zip(coeffs, re, im)]
 
-        def add(key: tuple, c, series: Series):
-            blocks.setdefault(key, []).append((c, series))
+    def _bracket_blocks(self, g: int, n: int, frame: BranchPointData, window: int):
+        """The residues of the kernel times the bracketed quadratic
+        expression at u^(-1-k1), k1 = 0, 1, .., as exact fixed lists grouped
+        by the spectator-slot basis assignment.  A factor's first argument
+        is read on the z-side chart, its second on the sigma-side chart,
+        whose dz carries the kernel, so a pair of labels (l1, l2)
+        contributes its residue vector R(l1, l2) times two coefficients."""
+        roots = self.curve.branch_points()
+        u = Series.identity(self.ring, "u", window)
+        z_side = _Chart(u, None, frame.a, roots, frame.index)
+        s_side = _Chart(frame.sigma, frame.kernel * frame.sigma_prime, frame.a, roots)
+        one = (1, 0, 0)
+        blocks: dict[tuple, list] = {}  # spectator indices -> (scalar, vector) terms
+
+        def residues(series: Series):
+            """The coefficients at u^-1, u^-2, .., u^lo, as a fixed list."""
+            try:
+                return _fixed_point([series.coefficient(-1 - k) for k in range(-series.lo)])
+            except TruncationError:
+                raise TruncationError(
+                    f"local window {window} exhausted at branch point "
+                    f"{frame.index}; omega_{{{g},{n}}} needs a window "
+                    f"of (6g+2n-4)+3 = {6 * g + 2 * n - 1}"
+                ) from None
+
+        @cache
+        def R(l1: tuple[int, int], l2: tuple[int, int]):
+            s = s_side.element(l2)
+            return residues(z_side.element(l1).truncate(-s.lo) * s)
 
         # cut term: omega_{g-1, n+1}(z, sigma(z), spectators)
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                add((), one, _omega02_cut(frame, window))
+                blocks[()] = [(one, residues(frame.kernel * _omega02_cut(frame, window)))]
             else:
-                inner = self.form(g - 1, n + 1)
-                for idx, c in inner.coeffs.items():
-                    series = z_side.element(_label(idx[0])) * s_side.element(_label(idx[1]))
-                    add(idx[2:], c, series)
+                for idx, c in self._fixed_form(g - 1, n + 1):
+                    blocks.setdefault(idx[2:], []).append((c, R(_label(idx[0]), _label(idx[1]))))
 
         # product terms over ordered stable splits.  A factor depends on its
-        # r spectator slots only through r: it is grouped once per shape, and
-        # each product formed once per r.
-        groups: dict[tuple, dict[tuple, Series]] = {}
+        # r spectator slots only through r: it is grouped once per shape,
+        # contracted with R over its z-side labels once per (g1, sp1, l2),
+        # and each product contracted once per shape (g1, sp1, sp2).
+        @cache
+        def group(genus: int, arity: int) -> dict[tuple, list]:
+            """omega_{genus, arity} as {spectator pole indices: [(label of
+            the first argument, fixed coefficient)]}."""
+            if (genus, arity) == (0, 2):
+                i = frame.index
+                terms = [((i, -k), ((i, k + 1),), (k + 1, 0, 0))
+                         for k in range(max(6 * g + 2 * n - 4, 2) + 1)]
+            else:
+                terms = [(_label(idx[0]), idx[1:], c)
+                         for idx, c in self._fixed_form(genus, arity)]
+            out: dict[tuple, list] = {}
+            for label, spect, c in terms:
+                out.setdefault(spect, []).append((label, c))
+            return out
 
-        def group(genus: int, arity: int, chart: _Chart) -> dict[tuple, Series]:
-            """omega_{genus, arity} with its first argument read on `chart`,
-            as {spectator pole indices: u-series}."""
-            shape = (genus, arity, chart)
-            if shape not in groups:
-                if (genus, arity) == (0, 2):
-                    i = frame.index
-                    terms = [((i, -k), ((i, k + 1),), self.ring.from_rational(k + 1))
-                             for k in range(max(6 * g + 2 * n - 4, 2) + 1)]
-                else:
-                    terms = [(_label(idx[0]), idx[1:], c)
-                             for idx, c in self.form(genus, arity).coeffs.items()]
-                out: dict[tuple, list] = {}
-                for label, spect, c in terms:
-                    out.setdefault(spect, []).append((c, chart.element(label)))
-                groups[shape] = {spect: linear_combination(t) for spect, t in out.items()}
-            return groups[shape]
+        @cache
+        def half(g1: int, sp1: tuple, l2: tuple[int, int]):
+            """sum over l1 of c1 R(l1, l2) for the z-side factor (g1, sp1)."""
+            return _fixed_sum((c1, R(l1, l2)) for l1, c1 in group(g1, len(sp1) + 1)[sp1])
+
+        @cache
+        def full(g1: int, sp1: tuple, sp2: tuple):
+            """sum over l2 of c2 half(g1, sp1, l2) for the sigma-side factor sp2."""
+            t2 = group(g - g1, n - len(sp1))[sp2]
+            return _fixed_sum((c2, half(g1, sp1, l2)) for l2, c2 in t2)
 
         spect_slots = tuple(range(2, n + 1))
         for r in range(n):
-            products: dict[tuple, Series] = {}
             for subset in combinations(spect_slots, r):
                 complement = tuple(s for s in spect_slots if s not in subset)
                 for g1 in range(g + 1):
-                    g2 = g - g1
-                    if (g1 == 0 and r == 0) or (g2 == 0 and r == n - 1):
+                    if (g1 == 0 and r == 0) or (g1 == g and r == n - 1):
                         continue  # omega_{0,1} factors are excluded
-                    f1 = group(g1, r + 1, z_side)
-                    f2 = group(g2, n - r, s_side)
-                    for sp1, s1 in f1.items():
-                        for sp2, s2 in f2.items():
-                            shape = (g1, sp1, sp2)
-                            if shape not in products:
-                                products[shape] = s1 * s2
+                    for sp1 in group(g1, r + 1):
+                        for sp2 in group(g - g1, n - r):
                             slot_index = dict(zip(subset + complement, sp1 + sp2))
-                            add(tuple(slot_index[s] for s in spect_slots), one,
-                                products[shape])
-        return {key: linear_combination(terms) for key, terms in blocks.items()}
+                            blocks.setdefault(tuple(slot_index[s] for s in spect_slots),
+                                              []).append((one, full(g1, sp1, sp2)))
+        return {key: _fixed_sum(terms) for key, terms in blocks.items()}
 
     # ------------------------------------------------------------------
     # closed forms
@@ -390,7 +408,7 @@ class RecursionEngine:
                 geo = Series.from_coeffs(
                     self.ring, "u", [gap, -self.ring.one], window
                 ).inverse()
-                total += (geo * frame.kernel * bracket).residue()
+                total += (geo * frame.kernel * bracket).coefficient(-1)
             return total
 
     # ------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp, round_nearest
 
-from dhtr import series as series_module
+from dhtr import cli, series as series_module
+from dhtr.curve import CurveSpec, SpectralCurve
 from dhtr.series import (
     AlgebraError,
     ComplexRing,
@@ -15,6 +16,7 @@ from dhtr.series import (
     RingMismatchError,
     Series,
 )
+from dhtr.toprec import RecursionEngine
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 from nested_series import SeriesRing
 
@@ -686,29 +688,57 @@ def test_dot_fixed_wide_spread_and_cancellation():
         assert ring.dot_fixed([])._mpc_ == mpmath.mpc(0)._mpc_
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_linear_combination_rounds_once(data):
-    # sum c * s with windows of every offset: each coefficient is the exact
-    # sum rounded once, on the window of the sum of the scaled series
+def _complex_exact(c):
+    return _exact(mpmath.re(c)), _exact(mpmath.im(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([64, 256]), st.data())
+def test_fixed_sum_exact_then_rounded_once(prec, data):
+    # sum x * v over scalars x and lists v of unequal lengths (a shorter
+    # list counts as zero-padded), exact against Fraction sums of the same
+    # rounded inputs; the result is fed back once as a list, as the TR
+    # contraction does, and each slot rounds once with _rounded.  With
+    # `cancel` every term comes back negated, so every slot is exactly 0
     draw = data.draw
-    prec = 256
-    ring = ComplexRing(prec)
+    fixed = series_module._fixed_point
+    cancel = draw(st.booleans())
     with mpmath.workprec(prec):
-        terms = []
-        for _ in range(draw(st.integers(1, 4))):
-            lo = draw(st.integers(-3, 2))
-            coeffs = [mpmath.mpc(_make(r))
-                      for r in draw(st.lists(_coefficient(prec), max_size=7))]
-            c = ring.one if draw(st.booleans()) else mpmath.mpc(_make(draw(_coefficient(prec))))
-            terms.append((c, _series(ring, lo, coeffs)))
-        total = series_module.linear_combination(terms)
-        order = min(s.order for _, s in terms)
-        lo = min(min(s.lo for _, s in terms), order)
-        want = [_rounded_sum([([c], [s.coefficient(e)]) for c, s in terms])
-                for e in range(lo, order)]
-    assert (total.lo, total.order) == (lo, order)
-    assert [c._mpc_ for c in total.coeffs] == want
+        terms = [(_make(draw(_coefficient(prec))),
+                  [_make(r) for r in draw(st.lists(_coefficient(prec), min_size=1, max_size=7))])
+                 for _ in range(draw(st.integers(1, 4)))]
+        if cancel:
+            terms += [(-x, v) for x, v in terms]
+        outer = _make(draw(_coefficient(prec)))
+        length = max(len(v) for _, v in terms)
+        want = []
+        for k in range(length):
+            re = im = Fraction(0)
+            for x, v in terms:
+                if k < len(v):
+                    (xr, xi), (vr, vi) = _complex_exact(x), _complex_exact(v[k])
+                    re, im = re + xr * vr - xi * vi, im + xr * vi + xi * vr
+            want.append((re, im))
+        # an all-zero list is None, and counts as zero
+        inputs = [((fx[0][0], fx[1][0], fx[2]), fv)
+                  for fx, fv in ((fixed([x]), fixed(v)) for x, v in terms) if fx]
+        got = re, im, e = series_module._fixed_sum(inputs)
+        assert len(re) == len(im) == max((len(fv[0]) for _, fv in inputs if fv), default=0)
+        scale = Fraction(2) ** e
+        padded = list(zip(re, im)) + [(0, 0)] * (length - len(re))
+        assert [(r * scale, i * scale) for r, i in padded] == want
+        for (r, i), (wr, wi) in zip(zip(re, im), want):
+            assert (series_module._rounded(r, e, prec), series_module._rounded(i, e, prec)) \
+                == (_rounded_fraction(wr), _rounded_fraction(wi))
+        if cancel:
+            assert not any(re) and not any(im)
+        fo = fixed([outer])
+        if fo:
+            (ore, oim, oe) = series_module._fixed_sum([((fo[0][0], fo[1][0], fo[2]), got)])
+            (xr, xi), oscale = _complex_exact(outer), Fraction(2) ** oe
+            assert [(r * oscale, i * oscale) for r, i in zip(ore, oim)] == [
+                (xr * wr - xi * wi, xr * wi + xi * wr) for wr, wi in want[:len(re)]]
+    assert series_module._fixed_sum([]) == ([], [], 0)
 
 
 @pytest.mark.parametrize("prec", [64, 256])
@@ -741,19 +771,37 @@ def test_numeric_recurrences_against_exact(op, prec):
 
 
 @pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf)])
-def test_exact_sums_reject_non_finite(bad):
-    # as products do: the recurrences and a sum of two or more terms raise
+def test_exact_sums_reject_non_finite(bad, monkeypatch, capsys):
+    # as products do: the recurrences raise, and so does a TR step whose
+    # lower form holds a non-finite coefficient, so tr-verify exits 3 and
+    # never reports a verdict
     ring = ComplexRing(256)
     one = mpmath.mpc(1)
-    finite = Series(ring, "zeta", 0, [one, mpmath.mpc(2, 3)], 2)
     with pytest.raises(ArithmeticError, match="non-finite"):
         series_module._fixed_point([one, bad])
     for head, call in ((one, Series.inverse), (mpmath.mpc(0), Series.exp),
-                       (one, Series.sqrt_unit),
-                       (one, lambda s: series_module.linear_combination(
-                           [(one, finite), (mpmath.mpc(2), s)]))):
+                       (one, Series.sqrt_unit)):
         with pytest.raises(ArithmeticError, match="non-finite.*zeta"):
             call(Series(ring, "zeta", 0, [head, bad], 2))
+
+    engine = RecursionEngine(SpectralCurve(CurveSpec.make(2, [1, 1], Fraction(1, 10))))
+    lower = engine.form(0, 3)
+    lower.coeffs[next(iter(lower.coeffs))] = bad
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        engine.form(0, 4)
+
+    trim = RecursionEngine._trim
+
+    def poisoned(self, form):
+        trim(self, form)
+        if (form.g, form.n) == (0, 3):
+            form.coeffs[next(iter(form.coeffs))] = bad
+
+    monkeypatch.setattr(RecursionEngine, "_trim", poisoned)
+    assert cli.main(["tr-verify", "--g", "0", "--n", "4", "--mu-max", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert "FAIL" not in out and "PASS" not in out
+    assert err.startswith("error: non-finite")
 
 
 def test_nested_series_ring():

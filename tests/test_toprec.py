@@ -116,6 +116,11 @@ def test_omega11_direct_residue(engine):
         direct = engine.omega11_direct(z1)
         from_basis = engine.form(1, 1).evaluate([z1], engine.curve.branch_points())
         assert abs(direct - from_basis) < abs(from_basis) * mpmath.mpf(10) ** -60
+    # one order short, the residue lies past the window: it raises, not 0
+    short = RecursionEngine(engine.curve)
+    short.window_for = lambda *gn: RecursionEngine.window_for(short, *gn) - 1
+    with pytest.raises(TruncationError):
+        short.omega11_direct(z1)
 
 
 def test_f11_closed_form_against_recursion_and_table(engine):
@@ -405,7 +410,7 @@ def test_default_window_is_tight_and_exact(d, q):
         short = RecursionEngine(default.curve)
         short._forms = {key: f for key, f in default._forms.items() if key != (g, n)}
         short.window_for = lambda *gn, e=short: RecursionEngine.window_for(e, *gn) - 1
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match=r"window of \(6g\+2n-4\)\+3 = "):
             short.form(g, n)
 
 
