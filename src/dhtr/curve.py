@@ -4,17 +4,19 @@ Branch points are the zeros of w(z) = 1 - s z P'(z) (`w_poly`); each is
 assumed simple and carries a local frame: the local involution sigma
 exchanging the two sheets of x, its derivative and the recursion kernel
 1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)), where omega_{0,1} is
-P(z) (1/z - s P'(z)) dz at z = a + u.  A curve builds its frames, and
-its z(x) at the origin, once at the largest order requested so far;
-smaller orders get truncated views of that build, which equal a fresh
-build bit for bit.  The module also hosts the x-inversion at the origin
-(numeric and exact), the phi basis spanning the space of loop-equation
-solutions, as series at one point (`PhiBasis`), and exact series checks
-of the closed forms for the (0,1) and (0,2) generating functions.  The
-two-point coefficients are read off the powers z(x)^k and z(x)^-k of
-one-variable series (`two_point_coefficients`), over any ring.  `phi_fit`
-checks the polynomial structure of the pruned numbers exactly: F_{g,n} in
-z lies in the span of the phi products of bounded degree.
+P(z) (1/z - s P'(z)) dz at z = a + u.  A frame composes omega_{0,1},
+sigma and x with sigma, and the three compositions share sigma's powers
+(`Series.pow_int`).  A curve builds its frames, and its z(x) at the
+origin, once at the largest order requested so far; smaller orders get
+truncated views of that build, which equal a fresh build bit for bit.
+The module also hosts the x-inversion at the origin (numeric and exact),
+the phi basis spanning the space of loop-equation solutions, as series at
+one point (`PhiBasis`), and exact series checks of the closed forms for
+the (0,1) and (0,2) generating functions.  The two-point coefficients are
+read off the powers z(x)^k and z(x)^-k of one-variable series, as
+`pow_int` keeps them (`two_point_coefficients`), over any ring.
+`phi_fit` checks the polynomial structure of the pruned numbers exactly:
+F_{g,n} in z lies in the span of the phi products of bounded degree.
 """
 
 from __future__ import annotations
@@ -476,16 +478,13 @@ def two_point_coefficients(zx: Series, mu_max: int) -> dict[tuple[int, int], obj
     x^(m+k+1), so zx needs the window 2 mu_max + 2; a shorter one raises
     TruncationError."""
     up, down = zx.truncate(mu_max + 1), zx.inverse()
-    pos, neg = up, down
     out = {(m, n): zx.ring.zero for n in range(1, mu_max + 1) for m in range(1, mu_max + 1)}
     for k in range(1, mu_max + 1):
-        weighted = neg.scale(Fraction(-1, k))
+        pos, weighted = up.pow_int(k), down.pow_int(k).scale(Fraction(-1, k))
         for n in range(k, mu_max + 1):
             zk = pos.coefficient(n)
             for m in range(1, mu_max + 1):
                 out[m, n] = out[m, n] + zk * weighted.coefficient(m)
-        if k < mu_max:
-            pos, neg = pos * up, neg * down
     return out
 
 

@@ -125,11 +125,8 @@ class PruningTransform:
         nu = canonical_mu(nu)
         self._check_index(g, nu)
         xz = x_of_z_series(self.table.d_max, max(nu) + 1)
-        powers: dict[int, Series] = {}
-        for mu_i in range(1, max(nu) + 1):
-            powers[mu_i] = xz if mu_i == 1 else powers[mu_i - 1] * xz
         return _box_sum(self.table.ring, nu, lambda mu: self.table.dh(g, mu),
-                        lambda n_i, m_i: powers[m_i].coefficient(n_i))
+                        lambda n_i, m_i: xz.pow_int(m_i).coefficient(n_i))
 
 
 def _box_sum(ring, outer: tuple[int, ...], value, weight):

@@ -331,11 +331,9 @@ def f01_from_quantum_curve(d: int, order: int) -> bool:
     coeffs = [ring.zero] + [table.dh(0, (mu,)).scale(mu) for mu in range(1, order + 1)]
     g_series = Series.from_coeffs(ring, "x", coeffs, n)
     total = g_series
-    x_pow = Series.constant(ring, "x", ring.one, n)
     x1 = Series.identity(ring, "x", n)
     for k in range(1, d + 1):
-        x_pow = (x_pow * x1).truncate(n)
         qk = WeightPolynomial.q(k, d)
         expo = g_series.scale(s).scale(k).exp()
-        total = total - (x_pow * expo).scale(qk)
+        total = total - (x1.pow_int(k) * expo).scale(qk)
     return total.is_zero()

@@ -1,11 +1,11 @@
 """Truncated power and Laurent series over pluggable coefficient rings.
 
 One engine serves three coefficient rings: exact rationals, weight
-polynomials, and high-precision complex numbers.  The same reversion, exp,
-and residue code therefore runs both for exact identity checks and for the
-numeric recursion on the spectral curve.  A ring element times a rational
-is `ring.mul_rational`: weight polynomials scale their coefficients rather
-than multiply by a constant.
+polynomials, and high-precision complex numbers.  The same reversion, exp
+and composition code therefore runs both for exact identity checks and for
+the numeric recursion on the spectral curve.  A ring element times a
+rational is `ring.mul_rational`: weight polynomials scale their
+coefficients rather than multiply by a constant.
 
 A series carries an explicit window [lo, order): coefficients for exponents
 below lo are exactly zero, coefficients at or above `order` are unknown.
@@ -19,17 +19,22 @@ the exact sum of the exact products, rounded once to nearest at
 mpmath.mp.prec.  A Series product is one exact convolution
 (ComplexRing.convolve_fixed).  Each coefficient of `inverse`, `exp` and
 `sqrt_unit` is one exact sum over earlier outputs, divided exactly by the
-recurrence's integer where it has one (ComplexRing.dot_fixed).  Callers
-that contract before they round (the TR step) sum scaled fixed lists
-exactly with `_fixed_sum` and round each result once with `_rounded`.
-A Series converts its coefficients to that exact fixed-point form once, on
-its first use as a factor, so a series that enters many products (a Horner
-step, a kernel, a basis element) is converted once; a recurrence converts
-each output once.  A non-finite (inf or nan) coefficient in an input
-raises ArithmeticError; for a Series the message names the variable.
+recurrence's integer where it has one (ComplexRing.dot_fixed).  `compose`
+and the callers that contract before they round (the TR step) sum scaled
+fixed lists exactly with `_fixed_sum` and round each result once with
+`_rounded`.  A Series converts its coefficients to that exact fixed-point
+form once, on its first use as a factor, so a series that enters many
+products (a power's base, a kernel, a basis element) is converted once; a
+recurrence converts each output once.  A non-finite (inf or nan)
+coefficient in an input raises ArithmeticError; for a Series the message
+names the variable.
 
-Reversion is Lagrange inversion: N - 2 products and one inverse at order N.
-The unit square root is the coefficient recurrence of h * h = r.
+The powers of a series are one list kept on it (`pow_int`): each power is
+the previous one times the series, and composition, reversion and every
+other reader of one series' powers share them.  Reversion is Lagrange
+inversion: one inverse h and the coefficients of its powers h^n, N - 2
+products at order N.  The unit square root is the coefficient recurrence
+of h * h = r.
 """
 
 from __future__ import annotations
@@ -319,9 +324,10 @@ class Series:
 
     A coefficient list is never mutated after the series is built: over
     ComplexRing its fixed-point form is kept on the series at its first
-    use as a factor (`_fixed_form`) and serves every later product."""
+    use as a factor (`_fixed_form`) and serves every later product, and
+    its powers are kept as `pow_int` makes them (`_powers`)."""
 
-    __slots__ = ("ring", "var", "lo", "coeffs", "order", "_fixed")
+    __slots__ = ("ring", "var", "lo", "coeffs", "order", "_fixed", "_powers")
 
     def __init__(self, ring, var: str, lo: int, coeffs: list, order: int):
         if order - lo != len(coeffs):
@@ -378,13 +384,6 @@ class Series:
         if exponent < self.lo:
             return self.ring.zero
         return self.coeffs[exponent - self.lo]
-
-    def residue(self):
-        """Coefficient of exponent -1; zero when -1 lies outside the stored
-        window (the caller owns window adequacy, this never raises)."""
-        if self.lo > -1 or self.order <= -1:
-            return self.ring.zero
-        return self.coeffs[-1 - self.lo]
 
     def truncate(self, order: int) -> "Series":
         order = min(order, self.order)
@@ -526,21 +525,23 @@ class Series:
         return Series(ring, self.var, -self.lo, out, -self.lo + n)
 
     def pow_int(self, exponent: int) -> "Series":
+        """self ** exponent; a negative exponent powers the inverse.  The
+        powers are one list kept on the series (`_powers`), each the
+        previous power times self, so every reader shares one product chain;
+        a new working precision starts a new list.  self ** k has the window
+        [k lo, k lo + order - lo), and [0, max(order - lo, 1)) at k = 0."""
         if exponent < 0:
             return self.inverse().pow_int(-exponent)
         if exponent == 0:
             return Series.constant(self.ring, self.var, self.ring.one,
                                    max(self.order - self.lo, 1))
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        prec, powers = getattr(self, "_powers", (None, None))
+        if prec != mpmath.mp.prec:
+            powers = [self]
+            self._powers = (mpmath.mp.prec, powers)
+        while len(powers) < exponent:
+            powers.append(powers[-1] * self)
+        return powers[exponent - 1]
 
     # ------------------------------------------------------------------
     # calculus
@@ -617,53 +618,53 @@ class Series:
     # composition and reversion
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute `inner` (valuation >= 1) for this series' variable.
+        """Substitute `inner` (valuation v >= 1) for this series' variable:
+        the power sum of the c_k times inner.pow_int(k), so compositions
+        with one inner share its powers.  A Laurent outer (lo < 0) is the
+        sum for var**-lo times the outer, times inner.pow_int(lo).
 
-        Horner from the top index down.  The window ends where the outer's
-        unknown tail enters, at inner.valuation() * self.order.  For lo >= 0
-        the accumulator after index k still meets k factors of valuation
-        >= 1, so it is cut k orders short of that end; inner's stored zero
-        head is stripped so that each product gains the order, and the
-        window stays at inner.order, as the unstripped product gives.  Kept
-        coefficients see the same products in the same order as at full
-        width.  A Laurent outer (lo < 0) keeps the full width.
-
-        Each outer coefficient c is added at exponent 0 only, into a new
-        list (a series' list is never mutated).  A full-width add of a
-        constant series would leave every other coefficient as it is: each
-        is a fresh product coefficient r, and ring.zero + r equals r (over
-        mpc it is already rounded at the working precision).  After a
-        product by the stripped step the accumulator starts at exponent 1
-        or above; c then enters as ring.zero + c, which rounds or cuts it
-        as that add does, with zeros up to the old lo."""
+        The window ends where an unknown term enters: the outer's tail at
+        v * self.order, or the tail of the lowest power inner**k, k >= 1,
+        the sum reads.  Over ComplexRing each coefficient is one exact sum
+        of the c_k times the powers' fixed forms, rounded once; a
+        non-finite outer coefficient raises ArithmeticError naming this
+        series' variable.  The exact rings use the schoolbook sum."""
         if inner.lo < 1 and any(not inner.ring.is_zero(c) for c in inner.coeffs[: 1 - inner.lo]):
             raise AlgebraError("composition requires inner valuation >= 1")
         if self.ring != inner.ring:
             raise RingMismatchError("coefficient ring mismatch in composition")
         self = self.strip_leading(self.ring.is_zero)
-        top = self.order * max(inner.valuation(), 1)
-        truncating = self.lo >= 0
-        step = inner
-        if truncating and inner.lo < 1:
-            step = inner.strip_leading(inner.ring.is_zero)
-            top = min(top, inner.order)
+        val = max(inner.valuation(), 1)
+        top = self.order * val
+        if self.lo < 0:
+            return (self.shift(-self.lo).compose(inner) * inner.pow_int(self.lo)).truncate(top)
         ring = inner.ring
-        result = Series.zero(ring, inner.var, inner.order)
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            result = result * step
-            c = self.coeffs[k]
-            if not self.ring.is_zero(c) and result.order > 0:
-                lo, coeffs = result.lo, result.coeffs
-                if lo > 0:
-                    coeffs = [ring.zero + c] + [ring.zero] * (lo - 1) + coeffs
-                else:
-                    coeffs = coeffs[:-lo] + [coeffs[-lo] + c] + coeffs[1 - lo:]
-                result = Series(ring, inner.var, min(lo, 0), coeffs, result.order)
-            if truncating and result.order > top - k:
-                result = result.truncate(top - k)
-        if self.lo:
-            result = result * inner.pow_int(self.lo)
-        return result.truncate(min(result.order, top))
+        order = min(top, inner.order + inner.lo * (max(self.lo, 1) - 1))
+        lo = min(self.lo * inner.lo, order)
+        n = order - lo
+        # (outer index, power, offset of the power's lo in the output)
+        terms = [(i, inner.pow_int(k), (k - self.lo) * inner.lo)
+                 for i, k in enumerate(range(self.lo, self.order))
+                 if k * val < order and not ring.is_zero(self.coeffs[i])]
+        if isinstance(ring, ComplexRing):
+            with self._naming_errors():
+                cr, ci, ec, _ = self._fixed_form() or ([], [], 0, 0)
+            with inner._naming_errors():
+                forms = [(i, p._fixed_form(), off) for i, p, off in terms]
+            re, im, e = _fixed_sum(
+                ((cr[i], ci[i], ec), ([0] * off + f[0][: n - off],
+                                      [0] * off + f[1][: n - off], f[2]))
+                for i, f, off in forms if f)
+            prec, make = mpmath.mp.prec, mpmath.mp.make_mpc
+            coeffs = [make((_rounded(r, e, prec), _rounded(i, e, prec)))
+                      for r, i in zip(re, im)] + [ring.zero] * (n - len(re))
+        else:
+            coeffs = [ring.zero] * n
+            for i, p, off in terms:
+                for j, x in enumerate(p.coeffs[: n - off], off):
+                    if not ring.is_zero(x):
+                        coeffs[j] = coeffs[j] + self.coeffs[i] * x
+        return Series(ring, inner.var, lo, coeffs, order)
 
     def reversion(self) -> "Series":
         """Compositional inverse g of f = c1*var + O(var^2), by Lagrange
@@ -681,13 +682,9 @@ class Series:
         ring, var, target = self.ring, self.var, self.order
         h = Series(ring, var, 0, [self.coefficient(k) for k in range(1, target)],
                    target - 1).inverse()
-        g = [ring.zero] * target
-        power = h
-        for n in range(1, target):
-            if n > 1:
-                power = power * h
-            g[n] = ring.mul_rational(power.coeffs[n - 1], Fraction(1, n))
-        return Series(ring, var, 0, g, target)
+        g = [ring.mul_rational(h.pow_int(n).coeffs[n - 1], Fraction(1, n))
+             for n in range(1, target)]
+        return Series(ring, var, 0, [ring.zero] + g, target)
 
 
 class Poly:

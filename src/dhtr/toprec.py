@@ -149,11 +149,12 @@ class _Chart:
 
     Each element is its neighbour one step nearer e = 0 times one factor,
     (local + a - a_j)^-1, or local + a - a_j for e < 0: one product per
-    element and one inverse per a_j.  e = 0 is dz, and with dt (j, +-1) is
-    the factor itself.  The index `monomial` (a_j = a, local = u) keeps the
-    monomial u^-e, as a chain of u^-1 products loses two orders per power;
-    the omega_{0,2} factor paired with the spectator index (i, k+1) is
-    (k+1) times the z-side element (i, -k), that is (k+1) u^k."""
+    element and one inverse per a_j.  e = 0 is dz; with dt the chain is the
+    factor's own powers, `pow_int(|e|)`.  The index `monomial` (a_j = a,
+    local = u) keeps the monomial u^-e, as a chain of u^-1 products loses
+    two orders per power; the omega_{0,2} factor paired with the spectator
+    index (i, k+1) is (k+1) times the z-side element (i, -k), that is
+    (k+1) u^k."""
 
     def __init__(self, local: Series, dz: Series | None, a, roots, monomial=None):
         self.local, self.dz, self.a, self.roots = local, dz, a, roots
@@ -175,8 +176,8 @@ class _Chart:
             one = Series.constant(ring, local.var, ring.one, local.order)
             return one if self.dz is None else self.dz
         step = 1 if e > 0 else -1
-        if e == step and self.dz is None:
-            return self._factor(j, step)
+        if self.dz is None:
+            return self._factor(j, step).pow_int(abs(e))
         return self.element((j, e - step)) * self._factor(j, step)
 
     def _factor(self, j: int, step: int) -> Series:

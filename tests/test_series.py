@@ -15,6 +15,7 @@ from dhtr.series import (
     RationalRing,
     RingMismatchError,
     Series,
+    TruncationError,
 )
 from dhtr.toprec import RecursionEngine
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
@@ -274,10 +275,16 @@ def test_sqrt_unit_requires_constant_one(coeffs, lo):
 
 
 def test_residue_reads_minus_one():
-    assert qseries([1], lo=-1).residue() == 1
-    assert qseries([3, 1, 1]).residue() == 0
+    # the residue is coefficient(-1): an exact zero below the window, and
+    # an error when u^-1 lies past it
+    assert qseries([1], lo=-1).coefficient(-1) == 1
+    assert qseries([3, 1, 1]).coefficient(-1) == 0
     u = qseries([5, 7, 0, 0], lo=-2)  # u^-2 (5 + 7u)
-    assert u.residue() == 7
+    assert u.coefficient(-1) == 7
+    with pytest.raises(TruncationError):
+        u.truncate(-1).coefficient(-1)
+    with pytest.raises(TruncationError):
+        qseries([5], lo=-2).coefficient(-1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -286,8 +293,14 @@ def test_residue_reads_minus_one():
     st.integers(-3, 1),
 )
 def test_residue_of_derivative_vanishes(coeffs, lo):
-    f = qseries(coeffs, lo=lo)
-    assert f.derivative().residue() == 0
+    # the residue of a derivative is 0 wherever u^-1 lies in its window;
+    # past the window it is unknown and reading it raises
+    d = qseries(coeffs, lo=lo).derivative()
+    if d.order > -1:
+        assert d.coefficient(-1) == 0
+    else:
+        with pytest.raises(TruncationError):
+            d.coefficient(-1)
 
 
 def test_derivative_windows():
@@ -584,21 +597,126 @@ def test_product_with_memoized_operands_matches_fresh_convolution(monkeypatch):
     assert min(len(c.coeffs), len(a.coeffs)) > len((b * c).coeffs)
 
 
-def test_compose_converts_its_step_once(monkeypatch):
+def test_compose_shares_the_powers_of_its_inner(monkeypatch):
+    # compositions with one inner build each power of it once, as products
+    # by the inner itself; a frame build composes omega_{0,1}, sigma and x
+    # with sigma and builds no power of sigma twice
+    products = []
+    mul = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
     ring = ComplexRing(256)
     with mpmath.workprec(256):
-        outer = Series.from_coeffs(ring, "u", list(range(1, 11)), 10)
+        outer = Series.from_coeffs(ring, "z", list(range(1, 11)), 10)
         inner = Series.from_coeffs(ring, "u", [0] + [Fraction(1, k) for k in range(1, 10)], 10)
-        step = [c._mpc_ for c in inner.coeffs[1:]]
-        converted = []
-        fixed_point = series_module._fixed_point
-        monkeypatch.setattr(series_module, "_fixed_point",
-                            lambda values: converted.append([c._mpc_ for c in values])
-                            or fixed_point(values))
-        outer.compose(inner)
-    # the step (inner without its zero head), whole or cut to a prefix
-    assert sum(1 for v in converted if v and v == step[:len(v)]) == 1
-    assert len(converted) == 11  # the step and one accumulator per Horner product
+        first = outer.compose(inner)
+        assert [b is inner for _, b in products] == [True] * 8  # inner**2 .. inner**9
+        again, other = outer.compose(inner), outer.scale(3).truncate(7).compose(inner)
+        assert len(products) == 8
+        assert [c._mpc_ for c in again.coeffs] == [c._mpc_ for c in first.coeffs]
+        assert (other.lo, other.order) == (0, 7)
+        square = inner.pow_int(2)
+    # a new working precision starts a new chain
+    with mpmath.workprec(512):
+        wide = inner.pow_int(2)
+        assert wide is not square and len(products) == 9
+        assert [c._mpc_ for c in wide.coeffs] == [c._mpc_ for c in mul(inner, inner).coeffs]
+    products.clear()
+    curve = SpectralCurve(CurveSpec.make(2, [1, 1], Fraction(1, 10), precision=256))
+    curve.frames(9)
+    for frame in curve._frames:
+        left = [a for a, b in products if b is frame.sigma]
+        assert left and len({id(a) for a in left}) == len(left), frame.index
+        assert len(left) == len(frame.sigma._powers[1]) - 1, frame.index
+
+
+def _power_sum_parts(f, g, h):
+    """Raw parts of the coefficients of h = f.compose(g), f with lo >= 0:
+    the exact sum of f's coefficients times those of g.pow_int(k), each
+    part rounded once."""
+    out = []
+    for e in range(h.lo, h.order):
+        re = im = Fraction(0)
+        for k in range(f.lo, f.order):
+            c = f.coefficient(k)
+            if not c:
+                continue
+            x = (1 if e == 0 else 0) if k == 0 else g.pow_int(k).coefficient(e)
+            (cr, ci), (xr, xi) = _complex_exact(mpmath.mpc(c)), _complex_exact(mpmath.mpc(x))
+            re, im = re + cr * xr - ci * xi, im + cr * xi + ci * xr
+        out.append((_rounded_fraction(re), _rounded_fraction(im)))
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([64, 256]), st.data())
+def test_compose_power_sum_rounded_once(prec, data):
+    # each coefficient of a numeric composition is the exact sum of the
+    # outer coefficients times the coefficients of the same pow_int powers
+    # of the inner, rounded once.  A Laurent outer is that sum for the
+    # outer times var**-lo, times inner.pow_int(lo).  c z - c z^2 of an
+    # inner u + u^2 + .. cancels to an exact 0 at u^2, and a nan outer
+    # coefficient raises
+    draw = data.draw
+    # pseudo-random mantissas of full width, on one scale, make products
+    # and sums round; _coefficient adds wide exponent spreads and exact zeros
+    mantissa = st.integers(0, 2 ** 32).map(
+        lambda seed: random.Random(seed).getrandbits(prec - 1) | 2 ** (prec - 1))
+    part = st.tuples(mantissa, st.sampled_from([1, -1])).map(lambda t: (t[0] * t[1], -prec))
+    full = st.tuples(part, part, st.just(False))
+    coefficient = st.one_of(full, _coefficient(prec)).map(_make)
+    ring = ComplexRing(prec)
+    with mpmath.workprec(prec):
+        val, zero_head = draw(st.integers(1, 2)), draw(st.booleans())
+        tail = draw(st.lists(coefficient, min_size=2, max_size=6))
+        tail[0] = tail[0] or mpmath.mpc(1)
+        g_lo = 0 if zero_head else val
+        g = Series(ring, "u", g_lo, [ring.zero] * (val - g_lo) + tail, val + len(tail))
+        f_lo = draw(st.integers(-2, 2))
+        f_coeffs = draw(st.lists(st.just(ring.zero) | coefficient, min_size=3, max_size=7))
+        f = _series(ring, f_lo, f_coeffs, var="zeta")
+        h = f.compose(g)
+        stripped = f.strip_leading(ring.is_zero)
+        if stripped.lo < 0:
+            s = stripped.shift(-stripped.lo).compose(g)
+            want = (s * g.pow_int(stripped.lo)).truncate(stripped.order * val)
+            assert (h.lo, h.order) == (want.lo, want.order)
+            assert [c._mpc_ for c in h.coeffs] == [c._mpc_ for c in want.coeffs]
+            f, h = stripped.shift(-stripped.lo), s
+        assert [c._mpc_ for c in h.coeffs] == _power_sum_parts(f, g, h)
+        c = f_coeffs[-1] or mpmath.mpc(1)
+        f = _series(ring, 0, [ring.zero, c, -c], "zeta")
+        g = Series(ring, "u", 0, [ring.zero, ring.one, ring.one] + tail, 3 + len(tail))
+        h = f.compose(g)
+        assert h.coefficient(2)._mpc_ == mpmath.mpc(0)._mpc_
+        assert [c._mpc_ for c in h.coeffs] == _power_sum_parts(f, g, h)
+        k = draw(st.integers(0, len(f_coeffs) - 1))
+        broken = _series(ring, f_lo, f_coeffs[:k] + [mpmath.mpc("nan")] + f_coeffs[k + 1:], "zeta")
+        with pytest.raises(ArithmeticError, match="non-finite.*zeta"):
+            broken.compose(g)
+
+
+@pytest.mark.parametrize("coeffs, lo", [([2, 1, -1, 3], -2), ([1, Fraction(1, 2), 0, -1, 5], 0),
+                                        ([0, 3, 1, Fraction(-2, 3)], 0), ([1, -1, 2], 2)])
+def test_pow_int_matches_naive_products(coeffs, lo):
+    # a base at lo = -2, at 0 with a unit constant and with a stored zero
+    # head, and at 2; negative exponents power the inverse.  base**k has
+    # the window [k lo, k lo + order - lo) and is the naive product of k
+    # copies; base**0 is 1 on [0, max(order - lo, 1))
+    base = qseries(coeffs, lo=lo)
+    for k in range(-3, 7):
+        power = base.pow_int(k)
+        if k == 0:
+            n = max(base.order - base.lo, 1)
+            assert (power.lo, power.order, power.coeffs) == (0, n, [1] + [0] * (n - 1))
+            continue
+        b = base if k > 0 else base.inverse()
+        n = b.order - b.lo
+        want = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        for _ in range(abs(k)):
+            want = [sum(want[i] * b.coeffs[j - i] for i in range(j + 1)) for j in range(n)]
+        assert (power.lo, power.order) == (abs(k) * b.lo, abs(k) * b.lo + n), k
+        assert power.coeffs == want, k
+    assert base.pow_int(5) is base.pow_int(5) and base.pow_int(1) is base
 
 
 @pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf),
