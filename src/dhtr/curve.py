@@ -4,11 +4,13 @@ Branch points are the zeros of w(z) = 1 - s z P'(z) (`w_poly`); each is
 assumed simple and carries a local frame: the local involution sigma
 exchanging the two sheets of x, its derivative and the recursion kernel
 1/(omega_{0,1}(u) - omega_{0,1}(sigma(u)) sigma'(u)), where omega_{0,1} is
-P(z) (1/z - s P'(z)) dz at z = a + u.  A frame composes omega_{0,1},
-sigma and x with sigma, and the three compositions share sigma's powers
-(`Series.pow_int`).  A curve builds its frames, and its z(x) at the
-origin, once at the largest order requested so far; smaller orders get
-truncated views of that build, which equal a fresh build bit for bit.
+P(z) (1/z - s P'(z)) dz at z = a + u.  sigma comes from the even part of
+the inverse of t(u), t^2 = (x - x(a)) / x2, with no square root
+(`_involution`).  A frame composes omega_{0,1}, sigma and x with sigma,
+and the three compositions share sigma's powers (`Series.pow_int`).  A
+curve builds its frames, and its z(x) at the origin, once at the largest
+order requested so far; smaller orders get truncated views of that
+build, which equal a fresh build bit for bit.
 The module also hosts the x-inversion at the origin (numeric and exact),
 the phi basis spanning the space of loop-equation solutions, as series at
 one point (`PhiBasis`), and exact series checks of the closed forms for
@@ -55,6 +57,18 @@ def w_poly(ring, q, s) -> Poly:
     """w(z) = 1 - s z P'(z) over `ring`, for P(z) = sum_i q[i-1] z^i with
     q and s in `ring` (symbolic over weight polynomials)."""
     return Poly(ring, [ring.one] + [-s * ring.mul_rational(q_i, i) for i, q_i in enumerate(q, 1)])
+
+
+def _involution(ratio: Series) -> Series:
+    """sigma(u), sigma'(0) = -1, with x(sigma(u)) = x(u) for x(u) - x(0) =
+    x2 u^2 ratio(u), over any ring, on ratio's window: sigma = H(-t) =
+    2 H_e(t) - u, H_e the even part of the inverse H of t = u sqrt(ratio),
+    t^2 = u^2 ratio, and 2 [t^2m] H = [u^(2m-1)] ratio^-m / m (Lagrange)."""
+    ring, half = ratio.ring, ratio.order // 2
+    even = [ring.mul_rational(ratio.pow_int(-m).coefficient(2 * m - 1), Fraction(1, m))
+            for m in range(1, half + 1)]
+    return (Series(ring, "w", 1, even, half + 1).compose(ratio.shift(2))
+            - Series.identity(ring, "u", ratio.order))
 
 
 def _seeds(coeffs: list[Fraction]) -> list[complex]:
@@ -245,17 +259,14 @@ class SpectralCurve:
                 f"vanishing second derivative of x at branch point {index}"
             )
 
-        # involution via the normalized square-root coordinate:
-        #   X(u) := x(a+u) - x(a) = x2 u^2 (1 + rho(u)),
-        #   t(u) := u sqrt(1 + rho(u)),  sigma := t^{-1}(-t(u)).
-        x_shift = Series(ring, "u", 0,
-                         [ring.zero, ring.zero] + x_series.coeffs[2:], n)
-        ratio = x_shift.shift(-2).strip_leading(ring.is_zero).scale(ring.invert(x2))
-        # constant term is exactly 1 mathematically; clamp the half-ulp of
-        # division noise so the series square root sees a unit constant
-        ratio = Series(ring, "u", 0, [ring.one] + ratio.coeffs[1:], ratio.order)
-        t = Series.identity(ring, "u", ratio.order + 1) * ratio.sqrt_unit()
-        sigma = t.reversion().compose(-t)
+        # x(a+u) - x(a) = x2 u^2 ratio(u), ratio(0) = 1 up to a clamped
+        # half-ulp of division noise.  sigma = E(u^2 ratio) - u, E(w) =
+        # sum_{m <= order/2} ([u^(2m-1)] ratio^-m / m) w^m: E(t^2) is twice
+        # the even part of the inverse of t = u sqrt(ratio)
+        inv_x2 = ring.invert(x2)
+        ratio = Series(ring, "u", 0, [ring.one] + [c * inv_x2 for c in x_series.coeffs[3:]],
+                       order)
+        sigma = _involution(ratio)
         sigma_prime = sigma.derivative()
         self._check_involution(index, x_series, sigma, scale)
 

@@ -17,8 +17,8 @@ loops.  Over ComplexRing every numeric sum of products is exact and
 rounded once: the real and imaginary part of each output coefficient is
 the exact sum of the exact products, rounded once to nearest at
 mpmath.mp.prec.  A Series product is one exact convolution
-(ComplexRing.convolve_fixed).  Each coefficient of `inverse`, `exp` and
-`sqrt_unit` is one exact sum over earlier outputs, divided exactly by the
+(ComplexRing.convolve_fixed).  Each coefficient of `inverse` and `exp`
+is one exact sum over earlier outputs, divided exactly by the
 recurrence's integer where it has one (ComplexRing.dot_fixed).  `compose`
 and the callers that contract before they round (the TR step) sum scaled
 fixed lists exactly with `_fixed_sum` and round each result once with
@@ -31,10 +31,10 @@ names the variable.
 
 The powers of a series are one list kept on it (`pow_int`): each power is
 the previous one times the series, and composition, reversion and every
-other reader of one series' powers share them.  Reversion is Lagrange
-inversion: one inverse h and the coefficients of its powers h^n, N - 2
-products at order N.  The unit square root is the coefficient recurrence
-of h * h = r.
+other reader of one series' powers share them; the negative powers are
+those of its inverse, kept on it too.  Reversion is Lagrange inversion:
+one inverse h and the coefficients of its powers h^n, N - 2 products at
+order N.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ class Series:
     A coefficient list is never mutated after the series is built: over
     ComplexRing its fixed-point form is kept on the series at its first
     use as a factor (`_fixed_form`) and serves every later product, and
-    its powers are kept as `pow_int` makes them (`_powers`)."""
+    its powers and inverse are kept as `pow_int` makes them (`_powers`)."""
 
     __slots__ = ("ring", "var", "lo", "coeffs", "order", "_fixed", "_powers")
 
@@ -528,17 +528,20 @@ class Series:
         """self ** exponent; a negative exponent powers the inverse.  The
         powers are one list kept on the series (`_powers`), each the
         previous power times self, so every reader shares one product chain;
-        a new working precision starts a new list.  self ** k has the window
+        the inverse is kept beside it, so the negative powers are its list.
+        A new working precision starts anew.  self ** k has the window
         [k lo, k lo + order - lo), and [0, max(order - lo, 1)) at k = 0."""
-        if exponent < 0:
-            return self.inverse().pow_int(-exponent)
         if exponent == 0:
             return Series.constant(self.ring, self.var, self.ring.one,
                                    max(self.order - self.lo, 1))
-        prec, powers = getattr(self, "_powers", (None, None))
+        prec, powers, inverse = getattr(self, "_powers", (None, None, None))
         if prec != mpmath.mp.prec:
-            powers = [self]
-            self._powers = (mpmath.mp.prec, powers)
+            powers, inverse = [self], None
+        if exponent < 0 and inverse is None:
+            inverse = self.inverse()
+        self._powers = (mpmath.mp.prec, powers, inverse)
+        if exponent < 0:
+            return inverse.pow_int(-exponent)
         while len(powers) < exponent:
             powers.append(powers[-1] * self)
         return powers[exponent - 1]
@@ -586,33 +589,6 @@ class Series:
                     acc = acc + mul(f[k] * g[m - k], k)
             g[m] = mul(acc, Fraction(1, m))
         return Series(ring, self.var, 0, g, n)
-
-    def sqrt_unit(self) -> "Series":
-        """Square root h of a series r with constant term 1 (principal
-        branch), from h * h = r coefficient by coefficient:
-        h_m = (r_m - sum_{0<k<m} h_k h_(m-k)) / 2; over ComplexRing each
-        h_m is that exact value rounded once."""
-        if self.lo > 0 or self.order <= 0 or not self.ring.is_zero(
-                self.coefficient(0) - self.ring.one):
-            raise AlgebraError("sqrt_unit requires constant term 1")
-        ring, n = self.ring, self.order
-        if isinstance(ring, ComplexRing):
-            with self._naming_errors():
-                rr, ri, er, _ = _fixed_point([self.coefficient(m) for m in range(n)])
-                neg_r = ([-x for x in rr], [-y for y in ri], er)
-                one = ([1], [0], 0)
-                # -h_m = (sum_{0<k<m} h_k h_(m-k) - r_m) / 2 rounds as h_m does
-                h = _solve(ring.one, n, lambda m, o: -ring.dot_fixed(
-                    [((o[0][1:m], o[1][1:m], o[2]), (o[0][m - 1:0:-1], o[1][m - 1:0:-1], o[2])),
-                     ((neg_r[0][m:m + 1], neg_r[1][m:m + 1], er), one)], 2))
-            return Series(ring, self.var, 0, h, n)
-        h = [ring.one] + [ring.zero] * (n - 1)
-        for m in range(1, n):
-            acc = ring.zero
-            for k in range(1, m):
-                acc = acc + h[k] * h[m - k]
-            h[m] = ring.mul_rational(self.coefficient(m) - acc, Fraction(1, 2))
-        return Series(ring, self.var, 0, h, n)
 
     # ------------------------------------------------------------------
     # composition and reversion

@@ -154,7 +154,7 @@ class _Chart:
     local = u) keeps the monomial u^-e, as a chain of u^-1 products loses
     two orders per power; the omega_{0,2} factor paired with the spectator
     index (i, k+1) is (k+1) times the z-side element (i, -k), that is
-    (k+1) u^k."""
+    (k+1) u^k.  A monomial's residues against s are a slice of s."""
 
     def __init__(self, local: Series, dz: Series | None, a, roots, monomial=None):
         self.local, self.dz, self.a, self.roots = local, dz, a, roots
@@ -179,6 +179,24 @@ class _Chart:
         if self.dz is None:
             return self._factor(j, step).pow_int(abs(e))
         return self.element((j, e - step)) * self._factor(j, step)
+
+    def residues(self, label: tuple[int, int], s: Series):
+        """The coefficients of element(label) * s at u^-1, u^-2, .., down to
+        its lowest exponent, as a fixed list (None for all zeros), or
+        TruncationError.  On the monomial index they are s's own at
+        u^(e-1), .., u^(s.lo) (element u^-e): a slice, with no product."""
+        j, e = label
+        if j != self.monomial:
+            p = self.element(label).truncate(-s.lo) * s
+            return _fixed_point([p.coefficient(-1 - k) for k in range(-p.lo)])
+        end = min(s.order - e, s.lo + self.local.order)  # the product's order
+        if end <= -1:
+            raise TruncationError(f"coefficient of {s.var}^-1 beyond truncation order {end}")
+        with s._naming_errors():  # a non-finite s raises as its products do
+            f, top = s._fixed_form(), e - 1 - s.lo  # top: the index of u^(e-1) in s
+        if f is None or top < 0 or not (any(f[0][:top + 1]) or any(f[1][:top + 1])):
+            return None
+        return f[0][top::-1], f[1][top::-1], f[2]
 
     def _factor(self, j: int, step: int) -> Series:
         if (j, step) not in self._factors:
@@ -292,7 +310,8 @@ class RecursionEngine:
         by the spectator-slot basis assignment.  A factor's first argument
         is read on the z-side chart, its second on the sigma-side chart,
         whose dz carries the kernel, so a pair of labels (l1, l2)
-        contributes its residue vector R(l1, l2) times two coefficients."""
+        contributes its residue vector R(l1, l2) times two coefficients.
+        On this frame's own branch point R is a slice (`_Chart.residues`)."""
         roots = self.curve.branch_points()
         u = Series.identity(self.ring, "u", window)
         z_side = _Chart(u, None, frame.a, roots, frame.index)
@@ -300,10 +319,10 @@ class RecursionEngine:
         one = (1, 0, 0)
         blocks: dict[tuple, list] = {}  # spectator indices -> (scalar, vector) terms
 
-        def residues(series: Series):
-            """The coefficients at u^-1, u^-2, .., u^lo, as a fixed list."""
+        def residues(l1: tuple[int, int], series: Series):
+            """z_side.residues, naming the window it exhausts."""
             try:
-                return _fixed_point([series.coefficient(-1 - k) for k in range(-series.lo)])
+                return z_side.residues(l1, series)
             except TruncationError:
                 raise TruncationError(
                     f"local window {window} exhausted at branch point "
@@ -313,13 +332,13 @@ class RecursionEngine:
 
         @cache
         def R(l1: tuple[int, int], l2: tuple[int, int]):
-            s = s_side.element(l2)
-            return residues(z_side.element(l1).truncate(-s.lo) * s)
+            return residues(l1, s_side.element(l2))
 
         # cut term: omega_{g-1, n+1}(z, sigma(z), spectators)
         if g >= 1:
-            if (g - 1, n + 1) == (0, 2):
-                blocks[()] = [(one, residues(frame.kernel * _omega02_cut(frame, window)))]
+            if (g - 1, n + 1) == (0, 2):  # paired with dz, the label (i, 0)
+                cut = frame.kernel * _omega02_cut(frame, window)
+                blocks[()] = [(one, residues((frame.index, 0), cut))]
             else:
                 for idx, c in self._fixed_form(g - 1, n + 1):
                     blocks.setdefault(idx[2:], []).append((c, R(_label(idx[0]), _label(idx[1]))))

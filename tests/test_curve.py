@@ -3,6 +3,7 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dhtr import curve as curve_module
 from dhtr.curve import (
@@ -136,6 +137,51 @@ def test_involution_defining_properties():
         # frame constructor validates them, so reaching here means both
         # residuals were below 2^{-prec/2}
         assert frame.sigma.order >= 10
+
+
+def _sqrt_unit(r):
+    """The square root h of a series r over Q with constant term 1, from
+    h * h = r: h_m = (r_m - sum_{0<k<m} h_k h_(m-k)) / 2."""
+    h = [Fraction(1)]
+    for m in range(1, r.order):
+        h.append((r.coefficient(m) - sum(h[k] * h[m - k] for k in range(1, m))) / 2)
+    return Series(r.ring, r.var, 0, h, r.order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                min_size=1, max_size=13))
+@example([2, -3, -4, 4, 0, 0])  # (1 + u - 2u^2)^2
+def test_involution_is_the_reversion_of_minus_t(tail):
+    # sigma = E(u^2 r) - u, from the even part of the inverse of
+    # t = u sqrt(r), is exactly t^-1(-t) over Q, window included
+    r = Series.from_coeffs(RationalRing(), "u", [1] + tail, len(tail) + 1)
+    h = _sqrt_unit(r)
+    assert h * h == r
+    if tail == [2, -3, -4, 4, 0, 0]:
+        assert [h.coefficient(k) for k in range(7)] == [1, 1, -2, 0, 0, 0, 0]
+    t = Series.identity(r.ring, "u", r.order + 1) * h
+    want = t.reversion().compose(-t)
+    got = curve_module._involution(r)
+    assert (got.lo, got.order) == (want.lo, want.order) == (0, r.order)
+    assert got == want
+
+
+def test_frame_build_needs_no_square_root_or_reversion(monkeypatch):
+    # one frames(13) on the acceptance curve: sigma comes from one inverse
+    # of the x ratio and one composition, with no reversion, no square
+    # root, and at most 58 series products
+    def forbidden(*args):
+        raise AssertionError("a frame build took a square root or a reversion")
+
+    products = []
+    mul = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(Series, "reversion", forbidden)
+    monkeypatch.setattr(mpmath, "sqrt", forbidden)
+    assert not hasattr(Series, "sqrt_unit")
+    curve(2, [1, 1], Fraction(1, 10), prec=256).frames(13)
+    assert len(products) <= 58
 
 
 def _bits(series):

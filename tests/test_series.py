@@ -141,11 +141,10 @@ def test_exp_rejects_constant_term():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=5))
 def test_exp_times_exp_of_negation_is_one(tail):
-    # exp(f) exp(-f) = 1 for zero-constant f; its square root is exp(f/2)
+    # exp(f) exp(-f) = 1 for zero-constant f
     f = qseries([0] + tail)
     g = f.exp()
     assert g * (-f).exp() == qseries([1], order=f.order)
-    assert g.sqrt_unit() == f.scale(Fraction(1, 2)).exp()
 
 
 # ----------------------------------------------------------------------
@@ -239,35 +238,6 @@ def test_reversion_is_one_inverse_and_n_minus_2_products(monkeypatch):
             calls.update(mul=0, inverse=0)
             Series.from_coeffs(ring, "z", [0, 2, 1, Fraction(-1, 3)], order).reversion()
             assert calls == {"mul": order - 2, "inverse": 1}, order
-
-
-# ----------------------------------------------------------------------
-# unit square root
-
-
-def test_sqrt_unit_squares_back():
-    rng = random.Random(7)
-    for prec in (256, 512):
-        ring = ComplexRing(prec)
-        with mpmath.workprec(prec):
-            # coefficients falling like 2**-k, as in the frames' x ratio
-            coeffs = [1] + [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 2 ** k
-                            for k in range(1, 20)]
-            r = Series.from_coeffs(ring, "u", coeffs, 20)
-            h = r.sqrt_unit()
-            back = h * h
-            assert (h.lo, h.order) == (back.lo, back.order) == (0, 20)
-            bound = max(abs(c) for c in r.coeffs) * mpmath.mpf(2) ** -(prec - 8)
-            assert all(abs(x - y) <= bound for x, y in zip(back.coeffs, r.coeffs))
-    # over Q the root is exact: (1 + z - 2 z^2)^2 = 1 + 2z - 3z^2 - 4z^3 + 4z^4
-    h = qseries([1, 2, -3, -4, 4, 0, 0]).sqrt_unit()
-    assert [h.coefficient(k) for k in range(7)] == [1, 1, -2, 0, 0, 0, 0]
-
-
-@pytest.mark.parametrize("coeffs, lo", [([2, 1], 0), ([0, 1], 0), ([1, 1], 1)])
-def test_sqrt_unit_requires_constant_one(coeffs, lo):
-    with pytest.raises(AlgebraError):
-        qseries(coeffs, lo=lo).sqrt_unit()
 
 
 # ----------------------------------------------------------------------
@@ -701,7 +671,8 @@ def test_pow_int_matches_naive_products(coeffs, lo):
     # a base at lo = -2, at 0 with a unit constant and with a stored zero
     # head, and at 2; negative exponents power the inverse.  base**k has
     # the window [k lo, k lo + order - lo) and is the naive product of k
-    # copies; base**0 is 1 on [0, max(order - lo, 1))
+    # copies; base**0 is 1 on [0, max(order - lo, 1)).  The negative
+    # powers are those of one inverse kept on the base
     base = qseries(coeffs, lo=lo)
     for k in range(-3, 7):
         power = base.pow_int(k)
@@ -717,6 +688,7 @@ def test_pow_int_matches_naive_products(coeffs, lo):
         assert (power.lo, power.order) == (abs(k) * b.lo, abs(k) * b.lo + n), k
         assert power.coeffs == want, k
     assert base.pow_int(5) is base.pow_int(5) and base.pow_int(1) is base
+    assert base.pow_int(-3) is base.pow_int(-1).pow_int(3)  # one kept inverse
 
 
 @pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf),
@@ -860,7 +832,7 @@ def test_fixed_sum_exact_then_rounded_once(prec, data):
 
 
 @pytest.mark.parametrize("prec", [64, 256])
-@pytest.mark.parametrize("op", ["inverse", "exp", "sqrt_unit"])
+@pytest.mark.parametrize("op", ["inverse", "exp"])
 def test_numeric_recurrences_against_exact(op, prec):
     # rational inputs, the same recurrence over RationalRing as reference.
     # Bound per coefficient: |numeric_k - exact_k| <= 2**-(prec-10) times
@@ -874,7 +846,7 @@ def test_numeric_recurrences_against_exact(op, prec):
         rng = random.Random(seed)
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
         values[0] = {"inverse": Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-                     "exp": Fraction(0), "sqrt_unit": Fraction(1)}[op]
+                     "exp": Fraction(0)}[op]
         exact = getattr(Series.from_coeffs(QQ, "z", values, 24), op)()
         with mpmath.workprec(prec):
             numeric = getattr(Series.from_coeffs(ring, "z", values, 24), op)()
@@ -897,8 +869,7 @@ def test_exact_sums_reject_non_finite(bad, monkeypatch, capsys):
     one = mpmath.mpc(1)
     with pytest.raises(ArithmeticError, match="non-finite"):
         series_module._fixed_point([one, bad])
-    for head, call in ((one, Series.inverse), (mpmath.mpc(0), Series.exp),
-                       (one, Series.sqrt_unit)):
+    for head, call in ((one, Series.inverse), (mpmath.mpc(0), Series.exp)):
         with pytest.raises(ArithmeticError, match="non-finite.*zeta"):
             call(Series(ring, "zeta", 0, [head, bad], 2))
 

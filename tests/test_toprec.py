@@ -8,7 +8,7 @@ import pytest
 from dhtr.curve import CurveSpec, PhiBasis, SpectralCurve, invert_x_exact, phi_fit, w_poly
 from dhtr.cutjoin import DHTable, canonical_mu
 from dhtr.pruning import PruningTransform
-from dhtr.series import RationalRing, Series, TruncationError
+from dhtr.series import RationalRing, Series, TruncationError, _fixed_point
 from dhtr.toprec import CorrelationForm, RecursionEngine, _Chart
 from dhtr.weightpoly import WeightPolynomial, WeightPolyRing
 from nested_series import SeriesRing
@@ -199,6 +199,17 @@ def test_loop_equations(engine):
     for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2)]:
         report = engine.loop_equation_check(g, n)
         assert report.ok, (g, n, report.worst)
+
+
+def test_loop_check_inverts_sigma_once_per_branch_point(engine, monkeypatch):
+    # each Laurent profile composed with sigma reads sigma's negative
+    # powers; sigma keeps its inverse, so one inverse per branch point
+    engine.form(1, 3)
+    calls = []
+    inverse = Series.inverse
+    monkeypatch.setattr(Series, "inverse", lambda s: calls.append(s) or inverse(s))
+    assert engine.loop_equation_check(1, 3).ok
+    assert len(calls) == 2
 
 
 def _phi_fit(g, n, transform=None):
@@ -412,6 +423,48 @@ def test_default_window_is_tight_and_exact(d, q):
         short.window_for = lambda *gn, e=short: RecursionEngine.window_for(e, *gn) - 1
         with pytest.raises(TruncationError, match=r"window of \(6g\+2n-4\)\+3 = "):
             short.form(g, n)
+
+
+@pytest.mark.parametrize("d,q", [
+    (2, [1, 1]),
+    (3, [Fraction(11, 3), Fraction(2, 3), Fraction(-1, 9)]),
+])
+def test_own_point_residues_are_slices(d, q):
+    # a z-side label (i, e1) on the frame's own branch point is u^-e1, so
+    # its residue vector against a sigma-side element is a slice of that
+    # element: the exact values of the product, e1 <= 0 (the (0,2) group)
+    # included, and where the window is exhausted the same TruncationError
+    def product_path(z_side, l1, s):
+        p = z_side.element(l1).truncate(-s.lo) * s
+        return _fixed_point([p.coefficient(-1 - k) for k in range(-p.lo)])
+
+    def outcome(read):
+        try:
+            v = read()
+        except TruncationError as exc:
+            return str(exc)
+        return [] if v is None else [(Fraction(r) * 2 ** v[2], Fraction(i) * 2 ** v[2])
+                                     for r, i in zip(v[0], v[1])]
+
+    curve = SpectralCurve(CurveSpec.make(d, q, Fraction(1, 10), precision=256))
+    roots = curve.branch_points()
+    full = RecursionEngine(curve).window_for(2, 1)
+    raised = {}
+    with mpmath.workprec(256):
+        for window in (full, full - 1):
+            raised[window] = set()
+            for frame in curve.frames(window):
+                z_side = _z_side(frame, roots, window)
+                s_side = _Chart(frame.sigma, frame.kernel * frame.sigma_prime, frame.a, roots)
+                for e1, j, e2 in product(range(-4, 10), range(d), range(-2, 10)):
+                    l1, s = (frame.index, e1), s_side.element((j, e2))
+                    got = outcome(lambda: z_side.residues(l1, s))
+                    want = outcome(lambda: product_path(z_side, l1, s))
+                    assert got == want, (window, frame.index, e1, j, e2)
+                    if isinstance(got, str):
+                        raised[window].add((frame.index, e1, j, e2))
+    # one order short exhausts the window at labels the full window serves
+    assert raised[full] < raised[full - 1]
 
 
 def test_kernel_denominator_double_zero(engine):
