@@ -13,21 +13,19 @@ Truncation order is explicit state and every operation propagates it with
 the min rule; nothing silently extends precision.
 
 Over the exact rings products, recurrences and sums are the schoolbook
-loops.  Over ComplexRing every numeric sum of products is exact and
-rounded once: the real and imaginary part of each output coefficient is
-the exact sum of the exact products, rounded once to nearest at
-mpmath.mp.prec.  A Series product is one exact convolution
-(ComplexRing.convolve_fixed).  Each coefficient of `inverse` and `exp`
-is one exact sum over earlier outputs, divided exactly by the
-recurrence's integer where it has one (ComplexRing.dot_fixed).  `compose`
-and the callers that contract before they round (the TR step) sum scaled
-fixed lists exactly with `_fixed_sum` and round each result once with
-`_rounded`.  A Series converts its coefficients to that exact fixed-point
-form once, on its first use as a factor, so a series that enters many
-products (a power's base, a kernel, a basis element) is converted once; a
-recurrence converts each output once.  A non-finite (inf or nan)
-coefficient in an input raises ArithmeticError; for a Series the message
-names the variable.
+loops.  Over ComplexRing every numeric sum of products is exact in ints
+and rounded once, by one step (`_to_mpc`): the real and imaginary part of
+each output coefficient, divided by an int where the sum has one, rounded
+to nearest at mpmath.mp.prec.  Three exact primitives make the sums: a
+Series product is one convolution (ComplexRing.convolve_fixed); `inverse`
+and `exp` are one recurrence (`_recurrence`), each coefficient one sum
+over the earlier ones; `compose` and the TR step, which contracts before
+it rounds, sum scaled fixed lists with `_fixed_sum`.  A Series converts
+its coefficients to that exact fixed-point form once, on its first use as
+a factor, so a series that enters many products (a power's base, a
+kernel, a basis element) is converted once; a recurrence converts each
+output once.  A non-finite (inf or nan) coefficient in an input raises
+ArithmeticError; for a Series the message names the variable.
 
 The powers of a series are one list kept on it (`pow_int`): each power is
 the previous one times the series, and composition, reversion and every
@@ -159,25 +157,49 @@ def _fixed_sum(terms):
             [sum(col) for col in zip_longest(*rows_i, fillvalue=0)], e)
 
 
-def _solve(first, n, step):
-    """The coefficients first, c_1, .., c_(n-1) of a recurrence over
-    ComplexRing: c_m = step(m, fixed), where fixed is the fixed list
-    (re ints, im ints, exp) of the coefficients before c_m.  Each new
-    coefficient is converted once, and the list moves to a smaller exponent
-    only when a coefficient needs it."""
-    (r,), (i,), e, _ = _fixed_point([first])
-    re, im, out = [r], [i], [first]
+def _to_mpc(re, im, e, divisor=1):
+    """The exact value (re + i im) * 2**e, divided by the positive int
+    divisor, as an mpc: each part rounded once, to nearest at
+    mpmath.mp.prec.  The one step from an exact sum to mpc; a zero part,
+    such as the imaginary part over a real curve, costs no call."""
+    prec = mpmath.mp.prec
+    return mpmath.mp.make_mpc((_rounded(re, e, prec, divisor) if re else fzero,
+                               _rounded(im, e, prec, divisor) if im else fzero))
+
+
+def _recurrence(ring, first, a, n, divisor):
+    """The coefficients c_0 = first, c_1, .., c_(n-1) of
+    c_m = (sum_{0<k<=m} a_k c_(m-k)) / divisor[m], with a_k = a[k-1]: the
+    recurrence of `Series.inverse` (divisor 1) and of `Series.exp`
+    (divisor m).  Over ComplexRing `a` is one fixed list (re ints, im ints,
+    exp) and each c_m is one exact sum, divided by divisor[m] and rounded
+    once; each new coefficient is converted once, and the outputs move to
+    a smaller exponent only when a coefficient needs it.  Over the exact
+    rings `a` holds ring elements and the sum is the schoolbook loop."""
+    out = [first]
+    if isinstance(ring, ComplexRing):
+        ar, ai, ea = a
+        (r,), (i,), e, _ = _fixed_point([first])
+        re, im = [r], [i]
+        for m in range(1, n):
+            xr, xi = re[m - 1::-1], im[m - 1::-1]  # c_(m-1), .., c_0
+            c = _to_mpc(sum(map(mul, ar, xr)) - sum(map(mul, ai, xi)),
+                        sum(map(mul, ar, xi)) + sum(map(mul, ai, xr)), ea + e, divisor[m])
+            out.append(c)
+            (r,), (i,), ec, _ = _fixed_point([c]) or ((0,), (0,), e, 0)
+            if ec < e:
+                re[:] = [v << (e - ec) for v in re]
+                im[:] = [v << (e - ec) for v in im]
+                e = ec
+            re.append(r << (ec - e))
+            im.append(i << (ec - e))
+        return out
     for m in range(1, n):
-        c = step(m, (re, im, e))
-        out.append(c)
-        f = _fixed_point([c])
-        (r,), (i,), ec, _ = f or ((0,), (0,), e, 0)
-        if ec < e:
-            re[:] = [v << (e - ec) for v in re]
-            im[:] = [v << (e - ec) for v in im]
-            e = ec
-        re.append(r << (ec - e))
-        im.append(i << (ec - e))
+        acc = ring.zero
+        for x, y in zip(a, out[::-1]):  # a_k c_(m-k), k = 1, .., m
+            if not ring.is_zero(x):
+                acc = acc + x * y
+        out.append(acc if divisor[m] == 1 else ring.mul_rational(acc, Fraction(1, divisor[m])))
     return out
 
 
@@ -209,11 +231,10 @@ class ComplexRing:
     """mpmath complex numbers; callers set the working precision via
     mpmath.workprec around whole computations.
 
-    Every numeric sum of products is exact and rounded once per real and
-    imaginary part, to nearest at mpmath.mp.prec: Series products go
-    through `convolve_fixed`, the coefficient recurrences and the origin
-    expansion through `dot_fixed`.  A non-finite input coefficient raises
-    ArithmeticError."""
+    Every numeric sum of products is exact, from one of three primitives
+    (`convolve_fixed`, `_recurrence`, `_fixed_sum`), and rounded once per
+    real and imaginary part, to nearest at mpmath.mp.prec, by `_to_mpc`.
+    A non-finite input coefficient raises ArithmeticError."""
 
     def __init__(self, precision: int):
         if precision < 64:
@@ -264,38 +285,10 @@ class ComplexRing:
         p1 = pa_r * pb_r
         p2 = pa_i * pb_i
         re = _unpack(p1 - p2, w, n)
-        e, prec = ea + eb, mpmath.mp.prec
-        make = mpmath.mp.make_mpc
-        if pa_i or pb_i:
-            im = _unpack((pa_r + pa_i) * (pb_r + pb_i) - p1 - p2, w, n)
-            return [make((_rounded(x, e, prec), _rounded(y, e, prec)))
-                    for x, y in zip(re, im)]
-        return [make((_rounded(x, e, prec), fzero)) for x in re]
-
-    def dot_fixed(self, pairs, divisor=1):
-        """The sum of x[k] * y[k] over k and over the pairs (x, y) of fixed
-        lists, divided by the positive int divisor: exact, then rounded
-        once per real and imaginary part, to nearest at mpmath.mp.prec.  A
-        fixed list is (re ints, im ints, exp, ...), the values
-        (re[k] + i im[k]) * 2**exp, as `_fixed_point` makes it; each sum
-        stops at the shorter list."""
-        re = im = 0
-        e = None
-        for x, y in pairs:
-            xr, xi, ex = x[0], x[1], x[2]
-            yr, yi, ey = y[0], y[1], y[2]
-            r = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
-            i = sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))
-            f = ex + ey
-            if e is None:
-                e = f
-            elif f < e:  # the sum so far moves to the smaller exponent
-                re, im, e = re << (e - f), im << (e - f), f
-            re += r << (f - e)
-            im += i << (f - e)
-        prec = mpmath.mp.prec
-        return mpmath.mp.make_mpc((_rounded(re, e, prec, divisor),
-                                   _rounded(im, e, prec, divisor)))
+        im = (_unpack((pa_r + pa_i) * (pb_r + pb_i) - p1 - p2, w, n)
+              if pa_i or pb_i else [0] * n)
+        e = ea + eb
+        return [_to_mpc(x, y, e) for x, y in zip(re, im)]
 
     def __eq__(self, other):
         return isinstance(other, ComplexRing) and other.precision == self.precision
@@ -494,34 +487,25 @@ class Series:
     def inverse(self) -> "Series":
         """Multiplicative inverse; the lowest not-exactly-zero coefficient
         must be invertible (numeric series with below-noise heads must
-        strip_leading with a tolerance first).  Over ComplexRing each
-        coefficient is one exact sum, -(1/c_0) sum_k c_k out[m-k] with
-        1/c_0 rounded first, rounded once."""
+        strip_leading with a tolerance first).  The `_recurrence`
+        out_m = sum_{0<k<=m} (-c_k / c_0) out_(m-k); over ComplexRing 1/c_0
+        is rounded first and each out_m is one exact sum, rounded once."""
         self = self.strip_leading(self.ring.is_zero)
         if not self.coeffs:
             raise AlgebraError("division by series with zero leading coefficient")
         ring, coeffs = self.ring, self.coeffs
         c0_inv = ring.invert(coeffs[0])
         n = len(coeffs)
-        if isinstance(ring, ComplexRing):
-            with self._naming_errors():
+        with self._naming_errors():
+            if isinstance(ring, ComplexRing):
                 (ar,), (ai,), ea, _ = _fixed_point([c0_inv])
                 cr, ci, ec, _ = _fixed_point(coeffs[1:]) or ([], [], 0, 0)
                 # -c0_inv * c_k, exact
-                d = ([ai * y - ar * x for x, y in zip(cr, ci)],
+                a = ([ai * y - ar * x for x, y in zip(cr, ci)],
                      [-(ar * y + ai * x) for x, y in zip(cr, ci)], ea + ec)
-                out = _solve(c0_inv, n, lambda m, o: ring.dot_fixed(
-                    [(d, (o[0][m - 1::-1], o[1][m - 1::-1], o[2]))]))
-            return Series(ring, self.var, -self.lo, out, -self.lo + n)
-        out = [ring.zero] * n
-        out[0] = c0_inv
-        for m in range(1, n):
-            acc = ring.zero
-            for k in range(1, m + 1):
-                ck = coeffs[k]
-                if not ring.is_zero(ck):
-                    acc = acc + ck * out[m - k]
-            out[m] = -(acc * c0_inv)
+            else:
+                a = [-(c * c0_inv) for c in coeffs[1:]]
+            out = _recurrence(ring, c0_inv, a, n, [1] * n)
         return Series(ring, self.var, -self.lo, out, -self.lo + n)
 
     def pow_int(self, exponent: int) -> "Series":
@@ -561,8 +545,8 @@ class Series:
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term and no negative part:
-        g_m = (1/m) sum_{0<k<=m} k f_k g_(m-k); over ComplexRing each g_m is
-        one exact sum, divided by m, rounded once."""
+        the `_recurrence` g_m = (sum_{0<k<=m} k f_k g_(m-k)) / m; over
+        ComplexRing each g_m is one exact sum, divided by m, rounded once."""
         if self.lo < 0 and any(not self.ring.is_zero(c) for c in self.coeffs[: -self.lo]):
             raise AlgebraError("exp requires lowest exponent >= 1")
         if self.lo <= 0 and self.order > 0 and not self.ring.is_zero(self.coefficient(0)):
@@ -571,23 +555,14 @@ class Series:
         if n <= 0:
             return Series.zero(ring, self.var, n)
         f = [self.coefficient(k) for k in range(n)]
-        if isinstance(ring, ComplexRing):
-            with self._naming_errors():
+        with self._naming_errors():
+            if isinstance(ring, ComplexRing):
                 fr, fi, ef, _ = _fixed_point(f[1:]) or ([], [], 0, 0)
-                kf = ([k * x for k, x in enumerate(fr, 1)],
-                      [k * y for k, y in enumerate(fi, 1)], ef)
-                g = _solve(ring.one, n, lambda m, o: ring.dot_fixed(
-                    [(kf, (o[0][m - 1::-1], o[1][m - 1::-1], o[2]))], m))
-            return Series(ring, self.var, 0, g, n)
-        mul = ring.mul_rational
-        g = [ring.zero] * n
-        g[0] = ring.one
-        for m in range(1, n):
-            acc = ring.zero
-            for k in range(1, m + 1):
-                if not ring.is_zero(f[k]):
-                    acc = acc + mul(f[k] * g[m - k], k)
-            g[m] = mul(acc, Fraction(1, m))
+                a = ([k * x for k, x in enumerate(fr, 1)],
+                     [k * y for k, y in enumerate(fi, 1)], ef)
+            else:
+                a = [ring.mul_rational(c, k) for k, c in enumerate(f[1:], 1)]
+            g = _recurrence(ring, ring.one, a, n, range(n))
         return Series(ring, self.var, 0, g, n)
 
     # ------------------------------------------------------------------
@@ -631,9 +606,7 @@ class Series:
                 ((cr[i], ci[i], ec), ([0] * off + f[0][: n - off],
                                       [0] * off + f[1][: n - off], f[2]))
                 for i, f, off in forms if f)
-            prec, make = mpmath.mp.prec, mpmath.mp.make_mpc
-            coeffs = [make((_rounded(r, e, prec), _rounded(i, e, prec)))
-                      for r, i in zip(re, im)] + [ring.zero] * (n - len(re))
+            coeffs = [_to_mpc(r, i, e) for r, i in zip(re, im)] + [ring.zero] * (n - len(re))
         else:
             coeffs = [ring.zero] * n
             for i, p, off in terms:

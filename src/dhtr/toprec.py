@@ -35,7 +35,7 @@ import mpmath
 
 from .curve import BranchPointData, SpectralCurve, two_point_coefficients
 from .cutjoin import DHTable, canonical_mu
-from .series import Series, TruncationError, _fixed_point, _fixed_sum, _rounded
+from .series import Series, TruncationError, _fixed_point, _fixed_sum, _to_mpc
 
 __all__ = ["CorrelationForm", "RecursionEngine", "VerifyRow", "VerifyReport",
            "LoopCheckReport"]
@@ -278,13 +278,11 @@ class RecursionEngine:
         window = self.window_for(g, n)
         # before recursing: a top-level form builds the frames once
         frames = self.curve.frames(window)
-        prec, make = mpmath.mp.prec, mpmath.mp.make_mpc
         out: dict[tuple, mpmath.mpc] = {}
         for frame in frames:
             for spect, (re, im, e) in self._bracket_blocks(g, n, frame, window).items():
                 for k1, (r, i) in enumerate(zip(re, im)):
-                    out[((frame.index, k1),) + spect] = make(
-                        (_rounded(r, e, prec), _rounded(i, e, prec)))
+                    out[((frame.index, k1),) + spect] = _to_mpc(r, i, e)
         form = CorrelationForm(g, n, out)
         self._trim(form)
         form.asymmetry = form.check_symmetry()
@@ -437,8 +435,9 @@ class RecursionEngine:
     def expand_at_origin(self, form: CorrelationForm, mu_max: int):
         """Predicted double Hurwitz values at this curve's weights: the
         coefficient of prod mu_i x_i^(mu_i - 1) dx_i of the form.  The form
-        is contracted with its slot vectors in exact integers, last slot
-        first, and each prediction, divided by prod(mu), is rounded once."""
+        is contracted with its slot vectors in exact integers, one slot at a
+        time, last slot first, into one exact list over the mus in product
+        order; each prediction, divided by prod(mu), is rounded once."""
         with mpmath.workprec(self.prec):
             zx = self.curve.invert_x_numeric(mu_max + 1)
             chart = _Chart(zx, zx.derivative(), self.ring.zero, self.curve.branch_points())
@@ -454,9 +453,10 @@ class RecursionEngine:
                        for k, idx in enumerate(labels)}
             # tensors[prefix]: for each tail mu[len(prefix):], in product
             # order, the exact sum over the coefficients c whose index starts
-            # with prefix of c times the tail's slot values
+            # with prefix of c times the tail's slot values; the last slot is
+            # contracted first, and the first slot leaves one list over mus
             tensors = {idx: ([r], [i]) for idx, r, i in zip(form.coeffs, cr, ci)}
-            for _ in range(form.n - 1):
+            for _ in range(form.n):
                 contracted: dict[tuple, tuple] = {}
                 for idx, (tr, ti) in tensors.items():
                     wr, wi = vectors[idx[-1]]
@@ -467,15 +467,9 @@ class RecursionEngine:
                         re, im = list(map(add, sr, re)), list(map(add, si, im))
                     contracted[idx[:-1]] = (re, im)
                 tensors = contracted
-            # the first slot: one exact sum per mu, rounded once
-            firsts = [idx for (idx,) in tensors]
-            columns = list(zip(zip(*(re for re, _ in tensors.values())),
-                               zip(*(im for _, im in tensors.values()))))
-            xs = [([vectors[i][0][m] for i in firsts], [vectors[i][1][m] for i in firsts], ev)
-                  for m in range(mu_max)]
-            et = ec + (form.n - 1) * ev
-            return {mu: self.ring.dot_fixed([(x, (col_r, col_i, et))], prod(mu))
-                    for mu, (x, (col_r, col_i)) in zip(mus, product(xs, columns))}
+            (re, im), = tensors.values()
+            e = ec + form.n * ev
+            return {mu: _to_mpc(r, i, e, prod(mu)) for mu, r, i in zip(mus, re, im)}
 
     def verify_conjecture(self, g: int, n: int, mu_max: int,
                           tolerance=None) -> VerifyReport:

@@ -703,7 +703,7 @@ def test_complex_product_rejects_non_finite(bad):
 
 
 # ----------------------------------------------------------------------
-# ComplexRing.dot_fixed: exact sums of products, rounded once per part
+# _to_mpc: an exact sum of products, rounded once per part
 
 
 def _rounded_fraction(q):
@@ -724,17 +724,20 @@ def _rounded_sum(pairs, divisor=1):
     return _rounded_fraction(re / divisor), _rounded_fraction(im / divisor)
 
 
-def _dot(ring, pairs, divisor=1):
-    """dot_fixed on the fixed forms of pairs of mpc lists; a pair with an
-    all-zero list adds nothing and is left out."""
-    fixed = [(series_module._fixed_point(xs), series_module._fixed_point(ys))
-             for xs, ys in pairs]
-    return ring.dot_fixed([(fx, fy) for fx, fy in fixed if fx and fy], divisor)
+def _dot(pairs, divisor=1):
+    """sum x[k] * y[k] over the pairs of mpc lists, divided by the divisor:
+    one exact `_fixed_sum` of each x[k] times the one-slot list y[k], each
+    sum stopping at the shorter list, rounded once by `_to_mpc`."""
+    fixed = series_module._fixed_point
+    terms = [((fx[0][0], fx[1][0], fx[2]), fixed([y]))
+             for xs, ys in pairs for x, y in zip(xs, ys) for fx in [fixed([x])] if fx]
+    re, im, e = series_module._fixed_sum(terms)
+    return series_module._to_mpc(sum(re), sum(im), e, divisor)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([64, 256]), st.data())
-def test_dot_fixed_correctly_rounded(prec, data):
+def test_to_mpc_rounds_exact_sum_once(prec, data):
     # full-width mantissas with exponents over 400 bits, exact zeros, real
     # and complex values, lists of unequal lengths, a divisor that is 1, a
     # power of two or neither; with `cancel` every pair comes back negated,
@@ -746,23 +749,21 @@ def test_dot_fixed_correctly_rounded(prec, data):
     divisor = draw(st.one_of(st.just(1), st.sampled_from([2, 3, 10, 2 ** 70 + 1]),
                              st.integers(1, 10 ** 6)))
     cancel = draw(st.booleans())
-    ring = ComplexRing(prec)
     with mpmath.workprec(prec):
         pairs = [([_make(r) for r in xs], [_make(r) for r in ys]) for xs, ys in raws]
         if cancel:
             pairs += [(xs, [-y for y in ys]) for xs, ys in pairs]
-        got = _dot(ring, pairs, divisor)
+        got = _dot(pairs, divisor)
         want = _rounded_sum(pairs, divisor)
     assert got._mpc_ == want
     if cancel:
         assert got._mpc_ == mpmath.mpc(0)._mpc_
 
 
-def test_dot_fixed_wide_spread_and_cancellation():
+def test_to_mpc_wide_spread_and_cancellation():
     # terms from 2**-600 to 2**600 in one sum, a divisor with a remainder,
-    # a sum whose large terms cancel exactly, leaving the 2**-600 term, and
-    # one that cancels to zero
-    ring = ComplexRing(256)
+    # a sum whose large terms cancel exactly, leaving the 2**-600 term, one
+    # that cancels to zero, and the empty sum
     with mpmath.workprec(256):
         big = mpmath.mpc(mpmath.ldexp(3 ** 150, 300), mpmath.ldexp(-(5 ** 100), 2))
         tiny = mpmath.mpc(mpmath.ldexp(7 ** 80, -600), mpmath.ldexp(1, -300))
@@ -771,11 +772,11 @@ def test_dot_fixed_wide_spread_and_cancellation():
                  ([([big, tiny], [third, third]), ([big], [-third])], 1),
                  ([([big, tiny], [third, tiny]), ([big, tiny], [-third, -tiny])], 3)]
         for pairs, divisor in cases:
-            got = _dot(ring, pairs, divisor)
+            got = _dot(pairs, divisor)
             assert got._mpc_ == _rounded_sum(pairs, divisor)
-        assert _dot(ring, cases[1][0])._mpc_ == (tiny * third)._mpc_
-        assert _dot(ring, cases[2][0], 3)._mpc_ == mpmath.mpc(0)._mpc_
-        assert ring.dot_fixed([])._mpc_ == mpmath.mpc(0)._mpc_
+        assert _dot(cases[1][0])._mpc_ == (tiny * third)._mpc_
+        assert _dot(cases[2][0], 3)._mpc_ == mpmath.mpc(0)._mpc_
+        assert _dot([])._mpc_ == series_module._to_mpc(0, 0, 0)._mpc_ == mpmath.mpc(0)._mpc_
 
 
 def _complex_exact(c):
@@ -831,15 +832,31 @@ def test_fixed_sum_exact_then_rounded_once(prec, data):
     assert series_module._fixed_sum([]) == ([], [], 0)
 
 
+def _fraction_recurrence(op, f):
+    """The coefficients of 1/f (lo = 0) or of exp(f) from the list f of
+    Fractions, by the schoolbook recurrence in Fractions: the reference
+    that runs no package code."""
+    n = len(f)
+    if op == "inverse":
+        out = [1 / f[0]]
+        for m in range(1, n):
+            out.append(-sum(f[k] * out[m - k] for k in range(1, m + 1)) / f[0])
+        return out
+    out = [Fraction(1)]
+    for m in range(1, n):
+        out.append(sum(k * f[k] * out[m - k] for k in range(1, m + 1)) / m)
+    return out
+
+
 @pytest.mark.parametrize("prec", [64, 256])
 @pytest.mark.parametrize("op", ["inverse", "exp"])
 def test_numeric_recurrences_against_exact(op, prec):
-    # rational inputs, the same recurrence over RationalRing as reference.
-    # Bound per coefficient: |numeric_k - exact_k| <= 2**-(prec-10) times
-    # the largest |exact_j|, j <= k.  Rounding errors of earlier
-    # coefficients feed later ones; on these inputs the worst is about 85
-    # units of 2**-prec of that scale (inverse), and the schoolbook loops,
-    # each product and sum rounded, meet the bound too (worst about 47).
+    # rational inputs, a Fraction recurrence as reference.  Bound per
+    # coefficient: |numeric_k - exact_k| <= 2**-(prec-10) times the largest
+    # |exact_j|, j <= k.  Rounding errors of earlier coefficients feed later
+    # ones; on these inputs the worst is about 85 units of 2**-prec of that
+    # scale (inverse), and the schoolbook loops, each product and sum
+    # rounded, meet the bound too (worst about 47).
     ring = ComplexRing(prec)
     worst = Fraction(0)
     for seed in range(20):
@@ -847,17 +864,92 @@ def test_numeric_recurrences_against_exact(op, prec):
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
         values[0] = {"inverse": Fraction(rng.randint(1, 9), rng.randint(1, 9)),
                      "exp": Fraction(0)}[op]
-        exact = getattr(Series.from_coeffs(QQ, "z", values, 24), op)()
+        exact = _fraction_recurrence(op, values)
         with mpmath.workprec(prec):
             numeric = getattr(Series.from_coeffs(ring, "z", values, 24), op)()
-        assert (numeric.lo, numeric.order) == (exact.lo, exact.order)
+        assert (numeric.lo, numeric.order) == (0, 24)
         scale = Fraction(0)
         for k in range(24):
-            want, got = exact.coefficient(k), numeric.coefficient(k)
+            want, got = exact[k], numeric.coefficient(k)
             scale = max(scale, abs(want))
             error = abs(_exact(got.real) - want) + abs(_exact(got.imag))
             worst = max(worst, error / scale * 2 ** prec)
     assert worst <= 2 ** 10, float(worst)
+
+
+def _complex_product(x, y):
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+@pytest.mark.parametrize("op", ["inverse", "exp"])
+def test_numeric_recurrences_round_each_coefficient_once(op, prec):
+    # each c_m of the numeric inverse and exp is the exact sum of
+    # a_k c_(m-k), 0 < k <= m, over the already-rounded c_0 .. c_(m-1),
+    # divided by d_m and rounded once per part: a_k = -c_k / c_0 with 1/c_0
+    # rounded first and d_m = 1 for the inverse, a_k = k f_k and d_m = m
+    # for exp.  Inputs are full-width real and complex values with exponent
+    # spreads, exact zeros and, for the inverse, a Laurent lo and a stored
+    # zero head
+    ring = ComplexRing(prec)
+    with mpmath.workprec(prec):
+        for seed in range(12):
+            rng = random.Random(seed)
+            n = rng.randint(1, 14)
+            raws = [((rng.randint(-(2 ** prec - 1), 2 ** prec - 1), rng.randint(-70, 70)),
+                     (rng.randint(-(2 ** prec - 1), 2 ** prec - 1), rng.randint(-70, 70)),
+                     rng.random() < 0.3) for _ in range(n)]
+            coeffs = [ring.zero if rng.random() < 0.2 else _make(r) for r in raws]
+            if op == "inverse":
+                coeffs[0] = coeffs[0] or mpmath.mpc(1, -3)
+                lo, head = rng.randint(-3, 3), rng.randint(0, 2)
+                f = _series(ring, lo, [ring.zero] * head + coeffs, var="zeta")
+            else:
+                coeffs[0] = ring.zero
+                f = _series(ring, 0, coeffs, var="zeta")
+            c = getattr(f, op)()
+            parts = [_complex_exact(mpmath.mpc(x)) for x in coeffs]
+            if op == "inverse":
+                assert (c.lo, c.order) == (-lo - head, -lo - head + n)
+                assert mpmath.mpc(c.coeffs[0])._mpc_ == mpmath.mpc(1 / coeffs[0])._mpc_
+                inv0 = _complex_exact(mpmath.mpc(c.coeffs[0]))
+                a = [_complex_product((-x, -y), inv0) for x, y in parts[1:]]
+                divisor = [1] * n
+            else:
+                assert (c.lo, c.order) == (0, n) and c.coeffs[0]._mpc_ == ring.one._mpc_
+                a = [(k * x, k * y) for k, (x, y) in enumerate(parts[1:], 1)]
+                divisor = range(n)
+            out = [_complex_exact(mpmath.mpc(x)) for x in c.coeffs]
+            for m in range(1, n):
+                terms = [_complex_product(a[k - 1], out[m - k]) for k in range(1, m + 1)]
+                re, im = sum(t[0] for t in terms), sum(t[1] for t in terms)
+                want = (_rounded_fraction(re / divisor[m]), _rounded_fraction(im / divisor[m]))
+                assert c.coeffs[m]._mpc_ == want, (seed, m)
+
+
+fraction_lists = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                          min_size=0, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+       fraction_lists, st.integers(-3, 3), st.booleans())
+def test_series_times_its_inverse_is_one(head, tail, lo, weighted):
+    # over RationalRing and over WeightPolyRing (a unit head, a tail of
+    # weight polynomials), with a Laurent lo: f * f.inverse() is exactly 1
+    # on the window [0, order - lo)
+    if weighted:
+        ring = WeightPolyRing(2)
+        q1, s = WeightPolynomial.q(1, 2), WeightPolynomial.s(2)
+        gens = [q1, s, q1 * s, q1 * q1 - s]
+        coeffs = [ring.from_rational(head)] + [gens[k % 4].scale(c) for k, c in enumerate(tail)]
+    else:
+        ring, coeffs = QQ, [head] + tail
+    f = Series(ring, "z", lo, coeffs, lo + len(coeffs))
+    product = f * f.inverse()
+    assert (product.lo, product.order) == (0, len(coeffs))
+    assert product == Series.constant(ring, "z", ring.one, len(coeffs))
 
 
 @pytest.mark.parametrize("bad", [mpmath.mpc("nan"), mpmath.mpc(1, mpmath.inf)])
